@@ -30,6 +30,10 @@ __all__ = ["main"]
 
 PRECISION_ENV = "GENCOSEC_PRECISION"
 
+#: Largest zeta order accepted, the row depth ``verify`` checks: the
+#: zeta(2m) factor builds cosecant row m, which grows steeply past it.
+ZETA_M_MAX = 30
+
 
 def _default_precision() -> int:
     raw = os.environ.get(PRECISION_ENV)
@@ -92,6 +96,8 @@ def cmd_table1(args) -> int:
 
 
 def cmd_table2(args) -> int:
+    if args.k_max < 0:
+        raise ValueError(f"--k-max must be nonnegative, got {args.k_max}")
     rows = []
     for k in range(args.k_max + 1):
         poly = (
@@ -169,9 +175,7 @@ def cmd_table4(args) -> int:
     rows = []
     for ell in range(1, args.ell_max + 1):
         poly = r_poly(ell)
-        rows.append(
-            {"ell": ell, "coefficients": " ".join(frac_to_str(c) for c in poly.coeffs)}
-        )
+        rows.append({"ell": ell, "coefficients": _row_coeff_strings(poly)})
     _emit(rows, ["ell", "coefficients"], args)
     return 0
 
@@ -248,6 +252,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_zeta(args) -> int:
+    if args.m > ZETA_M_MAX:
+        raise ValueError(f"--m must be at most {ZETA_M_MAX}, got {args.m}")
     result = riemann_limit(args.m, args.v, args.precision)
     within = result.bounds[0] < result.deviation < result.bounds[1]
     rows = [
@@ -389,7 +395,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

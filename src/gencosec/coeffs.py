@@ -24,7 +24,6 @@ from .stirling import newton_coefficients, stirling1
 
 __all__ = [
     "ASYMPTOTIC_VARIANTS",
-    "AsymptoticContext",
     "CoeffClosedForm",
     "approx_cosecant",
     "approx_cosecant_exact",
@@ -59,12 +58,12 @@ def coefficient(k: int, i: int) -> Fraction:
 class CoeffClosedForm:
     """Closed form C_{k,k-ell} = num(k) / (den_const * 6**(k+off) * (k-shift)!).
 
-    ``numerator`` holds the ascending coefficients of the polynomial in k.
-    Valid from k = ell + 1 on; below that the row has no rho**(k-ell) term.
+    ``numerator`` is the polynomial in k.  Valid from k = ell + 1 on; below
+    that the row has no rho**(k-ell) term.
     """
 
     ell: int
-    numerator: tuple[Fraction, ...]
+    numerator: RhoPolynomial
     den_const: int
     six_offset: int
     factorial_shift: int
@@ -74,9 +73,7 @@ class CoeffClosedForm:
             raise ValueError(
                 f"closed form for ell={self.ell} starts at k={self.ell + 1}, got {k}"
             )
-        num = Fraction(0)
-        for c in reversed(self.numerator):
-            num = num * k + c
+        num = poly_eval(self.numerator, k)
         den = self.den_const * 6 ** (k + self.six_offset) * factorial(
             k - self.factorial_shift
         )
@@ -84,13 +81,15 @@ class CoeffClosedForm:
 
 
 _CLOSED_FORMS = {
-    0: CoeffClosedForm(0, (Fraction(1),), 1, 0, 0),
-    1: CoeffClosedForm(1, (Fraction(1),), 5, 0, 2),
-    2: CoeffClosedForm(2, (Fraction(17), Fraction(21)), 175, 1, 3),
-    3: CoeffClosedForm(3, (Fraction(0), Fraction(17, 7), Fraction(1)), 125, 1, 4),
+    0: CoeffClosedForm(0, RhoPolynomial([1]), 1, 0, 0),
+    1: CoeffClosedForm(1, RhoPolynomial([1]), 5, 0, 2),
+    2: CoeffClosedForm(2, RhoPolynomial([17, 21]), 175, 1, 3),
+    3: CoeffClosedForm(3, RhoPolynomial([0, Fraction(17, 7), 1]), 125, 1, 4),
     4: CoeffClosedForm(
         4,
-        (Fraction(-33510, 539), Fraction(867, 49), Fraction(306, 7), Fraction(9)),
+        RhoPolynomial(
+            [Fraction(-33510, 539), Fraction(867, 49), Fraction(306, 7), 9]
+        ),
         625,
         3,
         5,
@@ -275,30 +274,6 @@ def beta_alternating(x: Fraction, precision: int) -> Decimal:
         return +total
 
 
-@dataclass(frozen=True)
-class AsymptoticContext:
-    """Shared high-precision ingredients for the c_{2v,v-1} asymptotics."""
-
-    v: int
-    precision: int
-    pi: Decimal
-    beta_half: Decimal
-
-    @classmethod
-    def build(cls, v: int, precision: int) -> "AsymptoticContext":
-        if v < 2:
-            raise ValueError(f"needs v >= 2, got {v}")
-        if precision < 30:
-            raise ValueError(f"precision must be at least 30, got {precision}")
-        with localcontext(hp_context(precision)):
-            return cls(
-                v=v,
-                precision=precision,
-                pi=pi_hp(precision),
-                beta_half=beta_alternating(Fraction(2 * v + 1, 2), precision),
-            )
-
-
 ASYMPTOTIC_VARIANTS = ("printed", "beta_flipped", "two_term")
 
 
@@ -328,7 +303,10 @@ def c2v_vm1_asymptotic(
     """
     if variant not in ASYMPTOTIC_VARIANTS:
         raise ValueError(f"variant must be one of {ASYMPTOTIC_VARIANTS}, got {variant!r}")
-    ctx = AsymptoticContext.build(v, precision)
+    if v < 2:
+        raise ValueError(f"needs v >= 2, got {v}")
+    if precision < 30:
+        raise ValueError(f"precision must be at least 30, got {precision}")
     prefactor = Fraction(comb(2 * v - 1, v), 2 ** (2 * v - 2))
     sign = 1 if (v - 1) % 2 == 0 else -1
     if variant == "beta_flipped":
@@ -336,12 +314,13 @@ def c2v_vm1_asymptotic(
     else:
         beta_sign = sign
     with localcontext(hp_context(precision)):
-        bracket = ctx.pi / 4
+        pi = pi_hp(precision)
+        bracket = pi / 4
         if not leading_only:
             if variant == "two_term":
-                bracket += ctx.pi / (16 * v)
+                bracket += pi / (16 * v)
             else:
-                half_beta = ctx.beta_half / 2
+                half_beta = beta_alternating(Fraction(2 * v + 1, 2), precision) / 2
                 bracket += beta_sign * half_beta
                 bracket += to_decimal(Fraction(sign * (v // 2), 2 * v), precision + 10)
                 bracket -= to_decimal(Fraction(5 * (1 - (-1) ** v), 8 * v), precision + 10)

@@ -8,7 +8,10 @@ guard digits internally; nothing in this package touches binary floats.
 
 ``RhoPolynomial`` is a dense polynomial in a single formal variable rho
 with Fraction coefficients, used for quantities that are polynomials in
-the order rho of a series power.
+the order rho of a series power.  It is the package's only polynomial
+type: polynomials in the order k (the Stirling ratios r_ell, the
+closed-form numerators) use it too, and ``poly_eval`` is the one Horner
+loop.
 """
 
 from __future__ import annotations
@@ -16,12 +19,11 @@ from __future__ import annotations
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 __all__ = [
     "GUARD_DIGITS",
     "RhoPolynomial",
-    "frac_from_str",
     "frac_to_str",
     "hp_context",
     "pi_hp",
@@ -44,11 +46,6 @@ def frac_to_str(q: Fraction) -> str:
     round-trip without a separate integer case.
     """
     return f"{q.numerator}/{q.denominator}"
-
-
-def frac_from_str(s: str) -> Fraction:
-    """Parse ``"num/den"`` (or a bare integer string) back to a Fraction."""
-    return Fraction(s)
 
 
 class RhoPolynomial:
@@ -146,13 +143,6 @@ class RhoPolynomial:
 
     def is_zero(self) -> bool:
         return self._coeffs == (Fraction(0),)
-
-    def to_strings(self) -> list[str]:
-        return [frac_to_str(c) for c in self._coeffs]
-
-    @classmethod
-    def from_strings(cls, items: Sequence[str]) -> "RhoPolynomial":
-        return cls([frac_from_str(s) for s in items])
 
     def __repr__(self) -> str:
         return f"RhoPolynomial({[str(c) for c in self._coeffs]})"

@@ -7,14 +7,16 @@ ways:
 * ``partition_transform`` sums over the partitions of k.  A partition
   with parts i of multiplicity lam_i and N parts total contributes
   (-1)**(k+N) * (rho)_N * prod_i inner(i)**lam_i / lam_i!, where inner(i)
-  is 1/(2i+1)! for the cosecant family and 1/(2i)! for the secant family.
+  is 1/(2i+1)! for the cosecant family and 1/(2i)! for the secant family;
+  a ``SeriesSpec`` names the family by its inner(i).
 * ``oracle_explog`` never looks at a partition: it takes the logarithm of
   the base series in u = z**2 by the standard quotient recurrence, scales
   by rho, and exponentiates, so agreement with the transform is a real
   cross-check rather than two paths through shared code.
 
 Everything downstream (Bernoulli numbers, even zeta values, coefficient
-asymptotics) reads rows from here.
+asymptotics) reads rows from here; ``zeta_even_factor`` is the single
+source of zeta(2m)/pi**(2m).
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ __all__ = [
     "gen_secant",
     "oracle_explog",
     "partition_transform",
+    "zeta_even_factor",
     "zeta_even_from_cosecant",
 ]
 
@@ -57,27 +60,22 @@ def _secant_inner(i: int) -> Fraction:
     return Fraction(1, factorial(2 * i))
 
 
-def _alternating_sign(k: int) -> int:
-    return -1 if k % 2 else 1
-
-
 @dataclass(frozen=True)
 class SeriesSpec:
     """Defines one series family for the partition transform.
 
     ``inner_value(i)`` is the unsigned magnitude of the coefficient of
     u**i in the base series (u = z**2); the base series itself alternates,
-    base(i) = (-1)**i * inner_value(i).  ``global_sign(k)`` is the overall
-    (-1)**k prefactor applied to the partition sum at order k.
+    base(i) = (-1)**i * inner_value(i), which is why the partition sum at
+    order k carries an overall (-1)**k for both families.
     """
 
     name: str
     inner_value: Callable[[int], Fraction]
-    global_sign: Callable[[int], int]
 
 
-COSECANT = SeriesSpec("cosecant", _cosecant_inner, _alternating_sign)
-SECANT = SeriesSpec("secant", _secant_inner, _alternating_sign)
+COSECANT = SeriesSpec("cosecant", _cosecant_inner)
+SECANT = SeriesSpec("secant", _secant_inner)
 
 SPEC_BY_NAME = {spec.name: spec for spec in (COSECANT, SECANT)}
 
@@ -134,7 +132,7 @@ def partition_transform(k: int, spec: SeriesSpec, jobs: int = 1) -> RhoPolynomia
         acc = [Fraction(0)] * (k + 1)
         for pm in enumerate_partitions(k):
             _add_partition_term(acc, pm, spec)
-    if spec.global_sign(k) < 0:
+    if k % 2:
         acc = [-c for c in acc]
     return RhoPolynomial(acc)
 
@@ -244,19 +242,27 @@ def bernoulli_from_cosecant(k: int) -> Fraction:
     return sign * factorial(2 * k) * cosecant_number(k) / (2 ** (2 * k) - 2)
 
 
+def zeta_even_factor(k: int) -> Fraction:
+    """zeta(2k)/pi**(2k) = c_k / (2 * (1 - 2**(1-2k))), exactly.
+
+    1/6, 1/90, 1/945, ... for k = 1, 2, 3; equal to |B_2k| 2**(2k-1)/(2k)!.
+    """
+    if k < 1:
+        raise ValueError(f"index must be positive, got {k}")
+    return cosecant_number(k) * Fraction(2 ** (2 * k), 2 ** (2 * k + 1) - 4)
+
+
 def zeta_even_from_cosecant(k: int, precision: int) -> Decimal:
-    """zeta(2k) = c_k * pi**(2k) / (2 * (1 - 2**(1-2k))) as a Decimal.
+    """zeta(2k) = zeta_even_factor(k) * pi**(2k) as a Decimal.
 
     At least ``precision`` digits are correct.  The value is returned at
     the full working precision of 8k + 10 guard digits so that comparing
     it against deep partial sums of sum n**(-2k), whose tails can sit far
     below 10**-precision, stays meaningful.
     """
-    if k < 1:
-        raise ValueError(f"index must be positive, got {k}")
     if precision < 20:
         raise ValueError(f"precision must be at least 20, got {precision}")
-    factor = cosecant_number(k) * Fraction(2 ** (2 * k), 2 ** (2 * k + 1) - 4)
+    factor = zeta_even_factor(k)
     guard = 8 * k + 10
     with localcontext(hp_context(precision, guard)):
         pi = pi_hp(precision + guard)

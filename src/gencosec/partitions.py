@@ -10,13 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial, prod
 from typing import Iterator, Sequence
 
 __all__ = [
     "PartitionMultiset",
     "enumerate_partitions",
-    "multinomial_factor",
     "partition_count",
 ]
 
@@ -63,12 +61,6 @@ class PartitionMultiset:
     def length(self) -> int:
         """Total number of parts, multiplicities included."""
         return sum(m for _, m in self.counts)
-
-    def multiplicity(self, part: int) -> int:
-        for p, m in self.counts:
-            if p == part:
-                return m
-        return 0
 
     def parts(self) -> tuple[int, ...]:
         """Expanded weakly decreasing part list."""
@@ -141,10 +133,3 @@ def partition_count(k: int) -> int:
         raise ValueError(f"cannot partition a negative integer, got {k}")
     return _partition_counts_upto(k)[k]
 
-
-def multinomial_factor(pm: PartitionMultiset) -> int:
-    """length! / prod(multiplicity!) for a partition.
-
-    Counts the distinct orderings of the part list; {3,2,1} gives 6.
-    """
-    return factorial(pm.length) // prod(factorial(m) for _, m in pm.counts)

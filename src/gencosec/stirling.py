@@ -4,18 +4,19 @@ Two independent routes to the same integers: the triangular recurrence
 ``s(k+1, j) = s(k, j-1) - k * s(k, j)`` and the literal nested-sum formula
 for the near-diagonal entries s_k^(k-j).  On top of these, the diagonals
 fit polynomials: s_k^(k-ell) = (-1)**ell * C(k, ell+1) * r_ell(k) with
-r_ell of degree ell - 1, recovered here by exact interpolation.
+r_ell of degree ell - 1, recovered here by exact interpolation and
+returned as a ``RhoPolynomial`` in the variable k.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Sequence
 
+from .exactnum import RhoPolynomial
+
 __all__ = [
-    "RPolynomial",
     "newton_coefficients",
     "r_poly",
     "stirling1",
@@ -100,30 +101,12 @@ def newton_coefficients(
     return coeffs
 
 
-@dataclass(frozen=True)
-class RPolynomial:
-    """The degree ell-1 polynomial r_ell with
-    s_k^(k-ell) = (-1)**ell * C(k, ell+1) * r_ell(k)."""
-
-    ell: int
-    coeffs: tuple[Fraction, ...]
-
-    def __call__(self, k: int) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * k + c
-        return acc
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-
 VALIDATE_K_MAX = 40
 
 
-def r_poly(ell: int) -> RPolynomial:
-    """Recover r_ell by exact interpolation and validate it.
+def r_poly(ell: int) -> RhoPolynomial:
+    """Recover r_ell, the degree ell-1 polynomial in k with
+    s_k^(k-ell) = (-1)**ell * C(k, ell+1) * r_ell(k), and validate it.
 
     Interpolates at the ell nodes k = ell+1 .. 2*ell (the first k with a
     nonzero diagonal entry onward) and then checks the defining identity
@@ -136,7 +119,7 @@ def r_poly(ell: int) -> RPolynomial:
     for k in range(ell + 1, 2 * ell + 1):
         value = Fraction(sign * stirling1(k, k - ell), comb(k, ell + 1))
         points.append((Fraction(k), value))
-    poly = RPolynomial(ell=ell, coeffs=tuple(newton_coefficients(points)))
+    poly = RhoPolynomial(newton_coefficients(points))
     for k in range(ell + 1, VALIDATE_K_MAX + 1):
         if sign * comb(k, ell + 1) * poly(k) != stirling1(k, k - ell):
             raise RuntimeError(

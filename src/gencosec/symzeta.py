@@ -4,8 +4,12 @@ s(v,n) is the nth elementary symmetric polynomial of {1^2, ..., (v-1)^2}.
 These connect to the cosecant rows through c_{2v,i} = 4**i * s(v,i) *
 Gamma(2v-2i)/Gamma(2v), and from there to exact identities expressing the
 partial sums sum_{k<v} k**(-2m) (equivalently zeta(2m) - zeta(2m,v)) as
-rational combinations of row-value ratios.  Everything rational here is
-exact; Decimals appear only in the v -> infinity limit report.
+rational combinations of row-value ratios.  The combination for every m
+follows from the Newton-Girard identities, because the scaled ratios are
+the elementary symmetric polynomials of {1/k^2}.  Everything rational here
+is exact; Decimals appear only in the v -> infinity limit report, whose
+estimate is the power sum itself and whose zeta(2m) comes from the rows
+through ``zeta_even_factor``.
 """
 
 from __future__ import annotations
@@ -15,36 +19,25 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .exactnum import hp_context, pi_hp, poly_eval, to_decimal
-from .genseries import gen_cosecant
+from .genseries import gen_cosecant, zeta_even_factor
 from .partitions import enumerate_partitions
 
 __all__ = [
     "IdentityReport",
     "PowerSums",
     "RiemannLimit",
-    "SymTable",
-    "ZETA_EVEN_FACTOR",
     "harmonic_power_sum",
     "hurwitz_identity",
     "identity_nine",
+    "power_sum_from_ratios",
     "riemann_limit",
     "sym_closed_low",
     "sym_high_partition",
     "sym_poly",
 ]
-
-#: zeta(2m) = ZETA_EVEN_FACTOR[m] * pi**(2m) for the orders used here.
-ZETA_EVEN_FACTOR = {
-    1: Fraction(1, 6),
-    2: Fraction(1, 90),
-    3: Fraction(1, 945),
-    4: Fraction(1, 9450),
-    5: Fraction(1, 93555),
-}
-
 
 @lru_cache(maxsize=None)
 def _sym_values(v: int) -> tuple[int, ...]:
@@ -58,31 +51,16 @@ def _sym_values(v: int) -> tuple[int, ...]:
     return tuple(values)
 
 
-@dataclass(frozen=True)
-class SymTable:
-    """All s(v,n) for one v, built by the iterative product."""
-
-    v: int
-    values: tuple[int, ...]
-
-    @classmethod
-    def build(cls, v: int) -> "SymTable":
-        if v < 1:
-            raise ValueError(f"needs v >= 1, got {v}")
-        return cls(v=v, values=_sym_values(v))
-
-    def value(self, n: int) -> int:
-        if not 0 <= n <= self.v - 1:
-            raise ValueError(f"index must be in 0..{self.v - 1}, got {n}")
-        return self.values[n]
-
-
 def sym_poly(v: int, n: int) -> int:
     """s(v,n), the nth elementary symmetric polynomial of the v-1 squares.
 
     v = 1 is allowed as the empty-set edge case (only n = 0, value 1).
     """
-    return SymTable.build(v).value(n)
+    if v < 1:
+        raise ValueError(f"needs v >= 1, got {v}")
+    if not 0 <= n <= v - 1:
+        raise ValueError(f"index must be in 0..{v - 1}, got {n}")
+    return _sym_values(v)[n]
 
 
 def sym_closed_low(v: int, n: int) -> Fraction:
@@ -140,8 +118,8 @@ def harmonic_power_sum(v: int, r: int) -> Fraction:
     """Generalized harmonic number H_{v-1,r} = sum_{k=1}^{v-1} k**-r."""
     if v < 2:
         raise ValueError(f"needs v >= 2, got {v}")
-    if r not in (2, 4, 6, 8, 10):
-        raise ValueError(f"r must be one of 2,4,6,8,10, got {r}")
+    if r < 2 or r % 2:
+        raise ValueError(f"r must be even and at least 2, got {r}")
     return PowerSums.build(v, r // 2).t(r // 2)
 
 
@@ -226,42 +204,27 @@ def identity_nine(v: int, i: int) -> IdentityReport:
     )
 
 
-# R_j combinations equal to H_{v-1,2m}; coefficients are fixed rationals.
+def power_sum_from_ratios(ratios: Sequence):
+    """H_{v-1,2m} from the row ratios R_j = c_{2v,v-1-j}/c_{2v,v-1}, j = 1..m.
+
+    e_j = 4**j R_j/(2j+1)! is the jth elementary symmetric polynomial of
+    {1/k^2 : k < v}, so the Newton-Girard identities give the power sums
+    p_n = sum_{i<n} (-1)**(n-1+i) e_{n-i} p_i + (-1)**(n-1) n e_n.
+    ``ratios`` holds R_1..R_m; Fractions or symbols both work.
+    """
+    e = [None] + [r * 4**j / factorial(2 * j + 1) for j, r in enumerate(ratios, 1)]
+    p = [None]
+    for n in range(1, len(ratios) + 1):
+        total = (-1) ** (n - 1) * n * e[n]
+        for i in range(1, n):
+            total += (-1) ** (n - 1 + i) * e[n - i] * p[i]
+        p.append(total)
+    return p[-1]
+
+
 def _hurwitz_rhs(v: int, m: int) -> Fraction:
-    r = [None] + [_c2v(v, v - 1 - j) / _c2v(v, v - 1) for j in range(1, m + 1)]
-    return _combine_ratios(r, m)
-
-
-def _combine_ratios(r: list, m: int) -> Fraction:
-    if m == 1:
-        return Fraction(2, 3) * r[1]
-    if m == 2:
-        return Fraction(4, 9) * r[1] ** 2 - Fraction(4, 15) * r[2]
-    if m == 3:
-        return (
-            Fraction(4, 105) * r[3]
-            - Fraction(4, 15) * r[2] * r[1]
-            + Fraction(8, 27) * r[1] ** 3
-        )
-    if m == 4:
-        return Fraction(8, 14175) * (
-            350 * r[1] ** 4
-            - 420 * r[2] * r[1] ** 2
-            + 63 * r[2] ** 2
-            + 60 * r[3] * r[1]
-            - 5 * r[4]
-        )
-    if m == 5:
-        return Fraction(4, 93555) * (
-            3080 * r[1] ** 5
-            - 4620 * r[2] * r[1] ** 3
-            + 1386 * r[2] ** 2 * r[1]
-            + 660 * r[3] * r[1] ** 2
-            - 198 * r[3] * r[2]
-            - 55 * r[4] * r[1]
-            + 3 * r[5]
-        )
-    raise ValueError(f"m must be in 1..5, got {m}")
+    top = _c2v(v, v - 1)
+    return power_sum_from_ratios([_c2v(v, v - 1 - j) / top for j in range(1, m + 1)])
 
 
 def hurwitz_identity(v: int, m: int) -> IdentityReport:
@@ -271,8 +234,8 @@ def hurwitz_identity(v: int, m: int) -> IdentityReport:
     needed row indices (down to c_{2v,0}), so it is evaluated and
     reported but flagged as not asserted.
     """
-    if not 1 <= m <= 5:
-        raise ValueError(f"m must be in 1..5, got {m}")
+    if m < 1:
+        raise ValueError(f"needs m >= 1, got {m}")
     if v < m + 1:
         raise ValueError(f"needs v >= m+1 to form the ratios, got v={v}, m={m}")
     left = PowerSums.build(v, m).t(m)
@@ -291,34 +254,6 @@ def hurwitz_identity(v: int, m: int) -> IdentityReport:
     )
 
 
-def _hurwitz_rhs_fast(v: int, m: int) -> Fraction:
-    """Same value as _hurwitz_rhs, but without building any series row.
-
-    Each ratio reduces exactly to power sums:
-
-        R_j = (2j+1)!/4**j * s(v,v-1-j)/s(v,v-1)
-
-    and the s-ratio is the cycle-index sum over partitions of j (the
-    ((v-1)!)**2 prefactors cancel).  Cost is O(v*m) instead of the
-    partition count of v-1, which is what makes large v usable.  The
-    two routes are checked equal over the row-route range in the tests.
-    """
-    sums = PowerSums.build(v, max(m, 1))
-    r: list[Fraction | None] = [None]
-    for j in range(1, m + 1):
-        total = Fraction(0)
-        for pm in enumerate_partitions(j):
-            term = Fraction(1)
-            for part, mult in pm.counts:
-                term *= sums.t(part) ** mult
-                term /= factorial(mult) * part**mult
-            if (j - pm.length) % 2:
-                term = -term
-            total += term
-        r.append(Fraction(factorial(2 * j + 1), 4**j) * total)
-    return _combine_ratios(r, m)
-
-
 class RiemannLimit(NamedTuple):
     estimate: Decimal
     deviation: Decimal
@@ -328,22 +263,21 @@ class RiemannLimit(NamedTuple):
 def riemann_limit(m: int, v: int, precision: int) -> RiemannLimit:
     """Finite-v estimate of zeta(2m) with its analytic deviation bracket.
 
-    The ratio combination at finite v equals zeta(2m) - zeta(2m,v)
-    exactly, so the deviation from zeta(2m) is zeta(2m,v) itself, which
-    the integral test pins inside
+    The estimate is the power sum T_m = zeta(2m) - zeta(2m,v), which the
+    ratio combination of ``hurwitz_identity`` equals exactly, so the
+    deviation from zeta(2m) is zeta(2m,v) itself, which the integral test
+    pins inside
 
         [ v**(1-2m)/(2m-1), (v-1)**(1-2m)/(2m-1) ].
     """
-    if not 1 <= m <= 5:
-        raise ValueError(f"m must be in 1..5, got {m}")
+    if m < 1:
+        raise ValueError(f"needs m >= 1, got {m}")
     if v < m + 2:
         raise ValueError(f"needs v >= m+2, got v={v}, m={m}")
     if precision < 30:
         raise ValueError(f"precision must be at least 30, got {precision}")
-    # Past the row-route range the series rows get expensive; the exact
-    # power-sum reduction gives the identical rational at O(v*m) cost.
-    estimate_exact = _hurwitz_rhs(v, m) if v <= 30 else _hurwitz_rhs_fast(v, m)
-    factor = ZETA_EVEN_FACTOR[m]
+    estimate_exact = PowerSums.build(v, m).t(m)
+    factor = zeta_even_factor(m)
     with localcontext(hp_context(precision)):
         pi = pi_hp(precision + 10)
         zeta_value = (

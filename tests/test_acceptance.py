@@ -124,7 +124,7 @@ def test_criterion_04_table4_reproduction():
     match_ells = []
     mismatch_ells = []
     for ell in (1, 2, 3, 4, 5, 6, 7, 9, 10):
-        if printed[ell].coefficients() == r_poly(ell).coeffs:
+        if printed[ell].coefficients() == r_poly(ell).coefficients:
             match_ells.append(ell)
         else:
             mismatch_ells.append(ell)

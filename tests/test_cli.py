@@ -1,5 +1,6 @@
 """CLI surface: formats, exit codes, golden outputs, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -149,6 +150,49 @@ def test_zeta_subcommand(capsys):
     row = json.loads(out)[0]
     assert row["within_bounds"] is True
     assert row["estimate"].startswith("1.0819")
+
+
+# sha256 of `zeta --m m --v v --precision 60 --format json`, recorded
+# before riemann_limit moved to the power-sum route at every v
+ZETA_DIGESTS = [
+    ((1,10), "7c83844d94cb06fe77d7100443ae37a6d96cf489abc2327be5b82579965cb0a4"),
+    ((3,30), "f8f04699dca89d6bf5e0ffb328f1c76ef01c7c2df72bd570aa251f0c2d3b32b7"),
+    ((5,31), "90a0341514258559f9e76b77280bffcc80fd5513bf93a62ccfded8d2cee3dc43"),
+    ((2,200), "8c0cc3e4691a62673cf92133d5cef372515322581df42954390dabefd1b2e5e1"),
+]
+
+
+@pytest.mark.parametrize(("mv", "digest"), ZETA_DIGESTS)
+def test_zeta_output_bytes(capsys, mv, digest):
+    m, v = mv
+    code, out, _ = run(
+        capsys, "zeta", "--m", str(m), "--v", str(v), "--precision", "60", "--format", "json"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    ("argv", "env_precision"),
+    [
+        (["cosec", "--k", "-1"], None),
+        (["cosec", "--k", "3", "--rho", "abc"], None),
+        (["table3", "--rhos", "0"], None),
+        (["zeta", "--m", "1", "--v", "10"], "5"),
+        (["table2", "--k-max", "-2"], None),
+        (["zeta", "--m", "31", "--v", "40"], None),
+    ],
+)
+def test_bad_input_is_usage_error(capsys, monkeypatch, argv, env_precision):
+    if env_precision is not None:
+        monkeypatch.setenv("GENCOSEC_PRECISION", env_precision)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].startswith("gencosec: error: ")
 
 
 def test_precision_env_default(capsys, monkeypatch):

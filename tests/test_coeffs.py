@@ -1,5 +1,6 @@
 """Closed forms, the accuracy-ratio table, and c_{2v,v-1} forms."""
 
+import hashlib
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -186,6 +187,24 @@ class TestBetaAlternating:
             beta_alternating(Fraction(1), 0)
 
 
+# sha256 of str(c2v_vm1_asymptotic(v, 50, ...)) per "v,variant" (or
+# "v,leading_only"), recorded before the shared-ingredient wrapper went
+ASYMPTOTIC_DIGESTS = [
+    ("2,printed", "48862c4beb69cad9cb319e558bc01fc5085f05693afc1fc28f49b3cfbc1d4fe5"),
+    ("2,beta_flipped", "273973bc3f5230f2b168f13ac2e26fe54e4d7030f4bebd2fb9ac0e8254e974d3"),
+    ("2,two_term", "0f519a028fdcd49f588e512949c6348b8bdfa6a4a8ba00f78b4fe2fde11bd075"),
+    ("2,leading_only", "a98454b2661be9476505c688810e301051fae8da92af088e2e966cd24c09fa77"),
+    ("7,printed", "0fbbd2fd9cfc1029a74c3c443eae6b8b878d64151c35e59841304e25406f1059"),
+    ("7,beta_flipped", "41f85ea92e9da30ef4bf801ce8dde058bdaf2e9afe7c2ac1bcd59163cb840aad"),
+    ("7,two_term", "2326690c0b50d3244b325b3f928a51fb9b326c386d5d9f7c2428b9e0949afead"),
+    ("7,leading_only", "b21e4ba1f155fb322cdb65d356d508ff9c63eee151a7afa53b5b5295aff39c1e"),
+    ("40,printed", "7fd21d1ba7c8da9813bd9286372e9bf7f6e244b5d82c68bf11b64053a7b26f1f"),
+    ("40,beta_flipped", "a6ce9b78af04cb5cc3479d6b1bdf169ec62fc193bab782fce359560937d292a4"),
+    ("40,two_term", "42e422a3c5a2ab72b5ffac451dc9d529062aa2a8f18b14710b47cbb61c5b789c"),
+    ("40,leading_only", "a69de0e30b0aeb6963db6d38ab955c898773da90165af7f191bf1878cd150038"),
+]
+
+
 class TestAsymptotic:
     def test_monotone_error_at_fixed_parity(self):
         rows = asymptotic_error_report([4, 8, 16, 32])
@@ -219,6 +238,15 @@ class TestAsymptotic:
         with pytest.raises(ValueError):
             c2v_vm1_asymptotic(5, 30, variant="nonsense")
         assert set(ASYMPTOTIC_VARIANTS) == {"printed", "beta_flipped", "two_term"}
+
+    @pytest.mark.parametrize(("case", "digest"), ASYMPTOTIC_DIGESTS)
+    def test_output_bytes(self, case, digest):
+        v, variant = case.split(",")
+        if variant == "leading_only":
+            value = c2v_vm1_asymptotic(int(v), 50, leading_only=True)
+        else:
+            value = c2v_vm1_asymptotic(int(v), 50, variant=variant)
+        assert hashlib.sha256(str(value).encode()).hexdigest() == digest
 
     def test_preconditions(self):
         with pytest.raises(ValueError):

@@ -19,6 +19,7 @@ from gencosec.genseries import (
     gen_secant,
     oracle_explog,
     partition_transform,
+    zeta_even_factor,
     zeta_even_from_cosecant,
 )
 
@@ -123,6 +124,10 @@ def test_bernoulli_cross_check():
 
 
 class TestZetaEven:
+    def test_factor_values(self):
+        expected = [Fraction(1, d) for d in (6, 90, 945, 9450, 93555)]
+        assert [zeta_even_factor(m) for m in range(1, 6)] == expected
+
     def test_matches_pi_formula(self):
         # zeta(2) = pi^2/6 to 30 digits
         got = zeta_even_from_cosecant(1, 30)

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from gencosec.partitions import (
     PartitionMultiset,
     enumerate_partitions,
-    multinomial_factor,
     partition_count,
 )
 
@@ -75,8 +74,6 @@ def test_decreasing_lex_order(k):
 def test_from_parts_run_length_encodes():
     pm = PartitionMultiset.from_parts([3, 2, 1, 1])
     assert str(pm) == "{3,2,1,1}"
-    assert pm.multiplicity(1) == 2
-    assert pm.multiplicity(7) == 0
     # input must already be weakly decreasing
     with pytest.raises(ValueError):
         PartitionMultiset.from_parts([1, 3, 1, 2])
@@ -90,11 +87,3 @@ def test_validation_rejects_bad_multisets():
     with pytest.raises(ValueError):
         PartitionMultiset(weight=2, counts=((2, 0),))  # zero multiplicity
 
-
-def test_multinomial_factor():
-    # {2,2,1,1}: N = 4, 4!/(2! 2!) = 6
-    pm = PartitionMultiset.from_parts([2, 2, 1, 1])
-    assert multinomial_factor(pm) == 6
-    # all-ones: N!/N! = 1
-    pm = PartitionMultiset.from_parts([1] * 5)
-    assert multinomial_factor(pm) == 1

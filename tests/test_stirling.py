@@ -88,9 +88,9 @@ class TestNewton:
 
 class TestRPoly:
     def test_first_rows(self):
-        assert r_poly(1).coeffs == (Fraction(1),)
-        assert r_poly(2).coeffs == (Fraction(-1, 4), Fraction(3, 4))
-        assert r_poly(3).coeffs == (Fraction(0), Fraction(-1, 2), Fraction(1, 2))
+        assert r_poly(1).coefficients == (Fraction(1),)
+        assert r_poly(2).coefficients == (Fraction(-1, 4), Fraction(3, 4))
+        assert r_poly(3).coefficients == (Fraction(0), Fraction(-1, 2), Fraction(1, 2))
 
     def test_degree(self):
         for ell in range(1, 11):
@@ -117,8 +117,8 @@ class TestRPoly:
         for row in rows:
             derived = r_poly(row.ell)
             if row.ell in bad:
-                assert row.coefficients() != derived.coeffs
+                assert row.coefficients() != derived.coefficients
             else:
-                assert row.coefficients() == derived.coeffs
+                assert row.coefficients() == derived.coefficients
         for entry in diffs:
-            assert entry["derived_poly"].coefficients() == r_poly(entry["ell"]).coeffs
+            assert entry["derived_poly"].coefficients() == r_poly(entry["ell"]).coefficients

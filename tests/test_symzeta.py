@@ -7,14 +7,14 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gencosec.exactnum import to_decimal
 from gencosec.symzeta import (
     PowerSums,
-    SymTable,
     _hurwitz_rhs,
-    _hurwitz_rhs_fast,
     harmonic_power_sum,
     hurwitz_identity,
     identity_nine,
+    power_sum_from_ratios,
     riemann_limit,
     sym_closed_low,
     sym_high_partition,
@@ -48,16 +48,15 @@ class TestSymPoly:
     @given(st.integers(min_value=2, max_value=15))
     @settings(deadline=None, max_examples=14)
     def test_table_invariants(self, v):
-        table = SymTable.build(v)
-        assert table.value(0) == 1
-        assert table.value(v - 1) == factorial(v - 1) ** 2
-        assert all(x > 0 for x in table.values)
+        assert sym_poly(v, 0) == 1
+        assert sym_poly(v, v - 1) == factorial(v - 1) ** 2
+        assert all(sym_poly(v, n) > 0 for n in range(v))
 
     def test_bounds(self):
         with pytest.raises(ValueError):
-            SymTable.build(0)
+            sym_poly(0, 0)
         with pytest.raises(ValueError):
-            SymTable.build(4).value(4)
+            sym_poly(4, 4)
 
 
 class TestClosedLow:
@@ -99,6 +98,9 @@ class TestPowerSums:
             harmonic_power_sum(1, 2)
         with pytest.raises(ValueError):
             harmonic_power_sum(5, 3)
+        with pytest.raises(ValueError):
+            harmonic_power_sum(5, 0)
+        assert harmonic_power_sum(3, 12) == 1 + Fraction(1, 2**12)
 
     def test_exactness(self):
         sums = PowerSums.build(6, 3)
@@ -147,16 +149,64 @@ class TestHurwitz:
             for v in range(m + 2, 22):
                 assert hurwitz_identity(v, m).equal, (v, m)
 
-    def test_fast_route_equals_row_route(self):
+    def test_power_sum_route_equals_row_route(self):
+        # riemann_limit reads the power sum; the row ratios must give the
+        # same rational, hence the same printed estimate
         for m in range(1, 6):
             for v in range(m + 2, 18):
-                assert _hurwitz_rhs(v, m) == _hurwitz_rhs_fast(v, m), (v, m)
+                expected = to_decimal(_hurwitz_rhs(v, m), 50)
+                assert riemann_limit(m, v, 40).estimate == expected, (v, m)
 
     def test_domain(self):
         with pytest.raises(ValueError):
             hurwitz_identity(1, 1)
         with pytest.raises(ValueError):
-            hurwitz_identity(10, 6)
+            hurwitz_identity(10, 0)
+        for m in range(6, 9):
+            for v in range(m + 2, 17):
+                assert hurwitz_identity(v, m).equal, (v, m)
+
+
+def _printed_combination(r, m):
+    # the paper's hand-written m = 1..5 combinations, kept verbatim
+    if m == 1:
+        return Fraction(2, 3) * r[1]
+    if m == 2:
+        return Fraction(4, 9) * r[1] ** 2 - Fraction(4, 15) * r[2]
+    if m == 3:
+        return (
+            Fraction(4, 105) * r[3]
+            - Fraction(4, 15) * r[2] * r[1]
+            + Fraction(8, 27) * r[1] ** 3
+        )
+    if m == 4:
+        return Fraction(8, 14175) * (
+            350 * r[1] ** 4
+            - 420 * r[2] * r[1] ** 2
+            + 63 * r[2] ** 2
+            + 60 * r[3] * r[1]
+            - 5 * r[4]
+        )
+    if m == 5:
+        return Fraction(4, 93555) * (
+            3080 * r[1] ** 5
+            - 4620 * r[2] * r[1] ** 3
+            + 1386 * r[2] ** 2 * r[1]
+            + 660 * r[3] * r[1] ** 2
+            - 198 * r[3] * r[2]
+            - 55 * r[4] * r[1]
+            + 3 * r[5]
+        )
+    raise ValueError(m)
+
+
+class TestNewtonGirard:
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_matches_printed_combinations(self, m):
+        sympy = pytest.importorskip("sympy")
+        r = [None] + list(sympy.symbols("r1:6"))
+        general = power_sum_from_ratios(r[1 : m + 1])
+        assert sympy.expand(general - _printed_combination(r, m)) == 0
 
 
 class TestRiemannLimit:
@@ -165,6 +215,8 @@ class TestRiemannLimit:
             for v in (m + 2, 12, 30, 80):
                 res = riemann_limit(m, v, 40)
                 assert res.bounds[0] < res.deviation < res.bounds[1], (m, v)
+        res = riemann_limit(6, 40, 50)
+        assert res.bounds[0] < res.deviation < res.bounds[1]
 
     def test_quoted_m2_v10(self):
         res = riemann_limit(2, 10, 40)
