@@ -1,26 +1,25 @@
-"""Command-line surface: tables, identity suites, and the benchmark.
+"""Command-line surface: tables, rows, identity suites and zeta estimates.
 
 Numbers are printed as exact fraction strings unless a subcommand takes
 an explicit precision (the default comes from GENCOSEC_PRECISION when
-set).  Every run with the same arguments produces identical primary
-output; only benchmark timings are exempt.
+set).  Every run with the same arguments produces identical output.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
+import itertools
 import json
 import os
 import sys
-import time
 from fractions import Fraction
 
 from .coeffs import beta_ratio, leading_closed
 from .exactnum import frac_to_str, poly_eval
-from .genseries import COSECANT, SECANT, OracleStream, gen_cosecant, gen_secant, partition_transform
-from .partitions import enumerate_partitions
+from .genseries import COSECANT, OracleStream, gen_cosecant, gen_secant
+from .partitions import enumerate_partitions, partition_count
 from .refdata import load_table2, load_table3, load_table4
 from .stirling import r_poly
 from .suites import SUITES, run_suite
@@ -34,6 +33,15 @@ PRECISION_ENV = "GENCOSEC_PRECISION"
 #: zeta(2m) factor builds cosecant row m, which grows steeply past it.
 ZETA_M_MAX = 30
 
+#: Deepest row order accepted by ``cosec``/``secant --k``, ``table2 --k-max``
+#: and ``verify --k-max``.  One row at this order takes about 2 s, and all
+#: rows up to it about 40 s (2-vCPU x86-64, CPython 3.11).
+ROW_K_MAX = 100
+
+#: Most rows ``table1`` prints; partition_count(45) = 89134 is the deepest
+#: order under it.
+TABLE1_ROWS_MAX = 10**5
+
 
 def _default_precision() -> int:
     raw = os.environ.get(PRECISION_ENV)
@@ -46,39 +54,57 @@ def _default_precision() -> int:
     return value
 
 
+def _write_json(value, out) -> None:
+    """``json.dump(value, out, indent=2)`` and a newline, in batches.
+
+    The indented encoder yields one small piece per token.  Joining 4096 of
+    them (about 50 kB) per write means a large ``verify`` report is held
+    neither as one list of pieces nor sent to ``out`` as thousands of tiny
+    writes.
+    """
+    pieces = json.JSONEncoder(indent=2).iterencode(value)
+    while batch := "".join(itertools.islice(pieces, 4096)):
+        out.write(batch)
+    out.write("\n")
+
+
 def _emit(rows: list[dict], columns: list[str], args) -> None:
     """Render rows in the selected format and write them out."""
-    if args.format == "json":
-        text = json.dumps(rows, indent=2) + "\n"
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({c: row.get(c, "") for c in columns})
-        text = buf.getvalue()
-    else:
-        cells = [[str(row.get(c, "")) for c in columns] for row in rows]
-        widths = [
-            max(len(col), *(len(r[i]) for r in cells)) if cells else len(col)
-            for i, col in enumerate(columns)
-        ]
-        lines = ["  ".join(c.ljust(w) for c, w in zip(columns, widths)).rstrip()]
-        for r in cells:
-            lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
-        text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
+        if args.format == "json":
+            _write_json(rows, out)
+        elif args.format == "csv":
+            writer = csv.DictWriter(out, fieldnames=columns, lineterminator="\n")
+            writer.writeheader()
+            for row in rows:
+                writer.writerow({c: row.get(c, "") for c in columns})
+        else:
+            cells = [[str(row.get(c, "")) for c in columns] for row in rows]
+            widths = [
+                max(len(col), *(len(r[i]) for r in cells)) if cells else len(col)
+                for i, col in enumerate(columns)
+            ]
+            lines = ["  ".join(c.ljust(w) for c, w in zip(columns, widths)).rstrip()]
+            for r in cells:
+                lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
+            out.write("\n".join(lines) + "\n")
 
 
 def _row_coeff_strings(poly) -> str:
     return " ".join(frac_to_str(c) for c in poly.coefficients)
 
 
+def _check_row_order(flag: str, k: int) -> None:
+    if k > ROW_K_MAX:
+        raise ValueError(f"{flag} must be at most {ROW_K_MAX}, got {k}")
+
+
 def cmd_table1(args) -> int:
+    count = partition_count(args.k)
+    if count > TABLE1_ROWS_MAX:
+        raise ValueError(
+            f"--k {args.k} has {count} partitions; table1 prints at most {TABLE1_ROWS_MAX}"
+        )
     rows = []
     for pm in enumerate_partitions(args.k):
         mults = {str(part): mult for part, mult in sorted(pm.counts)}
@@ -98,14 +124,11 @@ def cmd_table1(args) -> int:
 def cmd_table2(args) -> int:
     if args.k_max < 0:
         raise ValueError(f"--k-max must be nonnegative, got {args.k_max}")
-    rows = []
-    for k in range(args.k_max + 1):
-        poly = (
-            partition_transform(k, COSECANT, jobs=args.jobs)
-            if args.jobs > 1
-            else gen_cosecant(k)
-        )
-        rows.append({"k": k, "coefficients": _row_coeff_strings(poly)})
+    _check_row_order("--k-max", args.k_max)
+    rows = [
+        {"k": k, "coefficients": _row_coeff_strings(gen_cosecant(k))}
+        for k in range(args.k_max + 1)
+    ]
     _emit(rows, ["k", "coefficients"], args)
     if not args.verify:
         return 0
@@ -180,12 +203,9 @@ def cmd_table4(args) -> int:
     return 0
 
 
-def _cmd_series(args, spec, cached_build) -> int:
-    poly = (
-        partition_transform(args.k, spec, jobs=args.jobs)
-        if args.jobs > 1
-        else cached_build(args.k)
-    )
+def _cmd_series(args, build) -> int:
+    _check_row_order("--k", args.k)
+    poly = build(args.k)
     if args.rho is None:
         rows = [{"k": args.k, "coefficients": _row_coeff_strings(poly)}]
         _emit(rows, ["k", "coefficients"], args)
@@ -198,11 +218,11 @@ def _cmd_series(args, spec, cached_build) -> int:
 
 
 def cmd_cosec(args) -> int:
-    return _cmd_series(args, COSECANT, gen_cosecant)
+    return _cmd_series(args, gen_cosecant)
 
 
 def cmd_secant(args) -> int:
-    return _cmd_series(args, SECANT, gen_secant)
+    return _cmd_series(args, gen_secant)
 
 
 def cmd_coeff_closed(args) -> int:
@@ -220,6 +240,8 @@ def cmd_coeff_closed(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.k_max is not None:
+        _check_row_order("--k-max", args.k_max)
     kwargs = {}
     if args.suite in ("rho-identities", "oracle", "stirling") and args.k_max:
         kwargs["k_max"] = args.k_max
@@ -227,12 +249,7 @@ def cmd_verify(args) -> int:
         kwargs["v_max"] = args.v_max
     reports = run_suite(args.suite, **kwargs)
     if args.format == "json":
-        text = json.dumps([r.as_dict() for r in reports], indent=2) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        rows = [r.as_dict() for r in reports]
     else:
         rows = [
             {
@@ -244,7 +261,7 @@ def cmd_verify(args) -> int:
             }
             for r in reports
         ]
-        _emit(rows, ["identity", "params", "equal", "asserted", "note"], args)
+    _emit(rows, ["identity", "params", "equal", "asserted", "note"], args)
     failed = [r for r in reports if r.asserted and not r.equal]
     summary = f"{len(reports)} checks, {len(failed)} failures"
     sys.stderr.write(summary + "\n")
@@ -276,33 +293,6 @@ def cmd_zeta(args) -> int:
     return 0 if within else 1
 
 
-def cmd_bench(args) -> int:
-    methods = ("partition", "oracle") if args.method == "both" else (args.method,)
-    rows = []
-    stream = OracleStream(COSECANT)
-    for k in range(1, args.k_max + 1):
-        row = {"k": k}
-        if "partition" in methods:
-            best = None
-            for _ in range(args.reps):
-                start = time.perf_counter()
-                part_row = partition_transform(k, COSECANT, jobs=args.jobs)
-                elapsed = time.perf_counter() - start
-                best = elapsed if best is None else min(best, elapsed)
-            row["partition_s"] = f"{best:.6f}"
-        if "oracle" in methods:
-            start = time.perf_counter()
-            stream.extend()
-            row["oracle_s"] = f"{time.perf_counter() - start:.6f}"
-        if args.method == "both" and part_row != stream.row(k):
-            sys.stderr.write(f"k={k}: methods disagree\n")
-            return 1
-        rows.append(row)
-    columns = ["k"] + [f"{m}_s" for m in methods]
-    _emit(rows, columns, args)
-    return 0
-
-
 def _add_common(parser: argparse.ArgumentParser, default_format: str = "text") -> None:
     parser.add_argument(
         "--format",
@@ -328,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table2", help="cosecant rows as exact coefficient fractions")
     p.add_argument("--k-max", type=int, required=True)
     p.add_argument("--verify", action="store_true", help="cross-check methods and printed table")
-    p.add_argument("--jobs", type=int, default=1)
     _add_common(p)
     p.set_defaults(func=cmd_table2)
 
@@ -350,14 +339,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cosec", help="one cosecant row, optionally evaluated at rho")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--rho", help="rational rho to evaluate at, e.g. 7 or 3/2")
-    p.add_argument("--jobs", type=int, default=1)
     _add_common(p)
     p.set_defaults(func=cmd_cosec)
 
     p = sub.add_parser("secant", help="one secant row, optionally evaluated at rho")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--rho", help="rational rho to evaluate at, e.g. 7 or 3/2")
-    p.add_argument("--jobs", type=int, default=1)
     _add_common(p)
     p.set_defaults(func=cmd_secant)
 
@@ -380,14 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--precision", type=int, default=_default_precision())
     _add_common(p)
     p.set_defaults(func=cmd_zeta)
-
-    p = sub.add_parser("bench", help="partition vs exp-log timing per order")
-    p.add_argument("--k-max", type=int, required=True)
-    p.add_argument("--method", choices=("partition", "oracle", "both"), default="both")
-    p.add_argument("--reps", type=int, default=1)
-    p.add_argument("--jobs", type=int, default=1)
-    _add_common(p)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

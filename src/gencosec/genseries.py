@@ -4,11 +4,13 @@ c_{rho,k} is the coefficient of z**(2k) in (z/sin z)**rho and d_{rho,k}
 the coefficient in (1/cos z)**rho.  Both are computed two independent
 ways:
 
-* ``partition_transform`` sums over the partitions of k.  A partition
-  with parts i of multiplicity lam_i and N parts total contributes
-  (-1)**(k+N) * (rho)_N * prod_i inner(i)**lam_i / lam_i!, where inner(i)
-  is 1/(2i+1)! for the cosecant family and 1/(2i)! for the secant family;
-  a ``SeriesSpec`` names the family by its inner(i).
+* ``partition_transform`` is the paper's sum over the partitions of k.  A
+  partition with parts i of multiplicity lam_i and N parts total
+  contributes (-1)**(k+N) * (rho)_N * prod_i inner(i)**lam_i / lam_i!,
+  where inner(i) is 1/(2i+1)! for the cosecant family and 1/(2i)! for the
+  secant family; a ``SeriesSpec`` names the family by its inner(i).  The
+  partitions of each length N are summed at once (the partial Bell / Faa
+  di Bruno grouping), so no partition is enumerated.
 * ``oracle_explog`` never looks at a partition: it takes the logarithm of
   the base series in u = z**2 by the standard quotient recurrence, scales
   by rho, and exponentiates, so agreement with the transform is a real
@@ -21,8 +23,6 @@ source of zeta(2m)/pi**(2m).
 
 from __future__ import annotations
 
-import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -31,7 +31,6 @@ from math import factorial
 from typing import Callable
 
 from .exactnum import RhoPolynomial, hp_context, pi_hp, pochhammer_poly, poly_eval
-from .partitions import PartitionMultiset, enumerate_partitions, partition_count
 
 __all__ = [
     "COSECANT",
@@ -50,16 +49,6 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
-def _cosecant_inner(i: int) -> Fraction:
-    return Fraction(1, factorial(2 * i + 1))
-
-
-@lru_cache(maxsize=None)
-def _secant_inner(i: int) -> Fraction:
-    return Fraction(1, factorial(2 * i))
-
-
 @dataclass(frozen=True)
 class SeriesSpec:
     """Defines one series family for the partition transform.
@@ -74,66 +63,37 @@ class SeriesSpec:
     inner_value: Callable[[int], Fraction]
 
 
-COSECANT = SeriesSpec("cosecant", _cosecant_inner)
-SECANT = SeriesSpec("secant", _secant_inner)
+COSECANT = SeriesSpec("cosecant", lambda i: Fraction(1, factorial(2 * i + 1)))
+SECANT = SeriesSpec("secant", lambda i: Fraction(1, factorial(2 * i)))
 
 SPEC_BY_NAME = {spec.name: spec for spec in (COSECANT, SECANT)}
 
 
-def _add_partition_term(
-    acc: list[Fraction], pm: PartitionMultiset, spec: SeriesSpec
-) -> None:
-    scalar = Fraction(1)
-    for part, mult in pm.counts:
-        scalar *= spec.inner_value(part) ** mult
-        scalar /= factorial(mult)
-    if pm.length % 2:
-        scalar = -scalar
-    for j, c in enumerate(pochhammer_poly(pm.length).coefficients):
-        if c:
-            acc[j] += c * scalar
-
-
-def _chunk_accumulate(spec_name: str, k: int, start: int, stop: int) -> list[Fraction]:
-    # Worker for the parallel path; must stay module-level picklable.
-    spec = SPEC_BY_NAME[spec_name]
-    acc = [Fraction(0)] * (k + 1)
-    for pm in itertools.islice(enumerate_partitions(k), start, stop):
-        _add_partition_term(acc, pm, spec)
-    return acc
-
-
-def partition_transform(k: int, spec: SeriesSpec, jobs: int = 1) -> RhoPolynomial:
+def partition_transform(k: int, spec: SeriesSpec) -> RhoPolynomial:
     """Order-k row of the series family as a polynomial in rho.
 
-    The result has degree exactly k, zero constant term for k >= 1, and
-    leading coefficient inner_value(1)**k / k!.  ``jobs`` > 1 splits the
-    partition list into equal index ranges accumulated in separate
-    processes; the merge is in fixed chunk order and the arithmetic is
-    exact, so results are identical to the sequential path bit for bit.
+    The partition sum grouped by length N: with h(u) = 1 - base(u) =
+    sum_{i>=1} (-1)**(i+1) inner(i) u**i, the partitions of k with N parts
+    contribute (rho)_N [u**k] h**N / N!, which is (-1)**(k+N) (rho)_N times
+    the partial Bell polynomial of the inner values.  The powers of h come
+    from truncated convolution, O(k**3) rational products in all.  The
+    result has degree exactly k, zero constant term for k >= 1, and
+    leading coefficient inner_value(1)**k / k!.
     """
     if k < 0:
         raise ValueError(f"order must be nonnegative, got {k}")
-    if jobs > 1 and partition_count(k) >= 4 * jobs:
-        total = partition_count(k)
-        bounds = [(total * i) // jobs for i in range(jobs + 1)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(
-                pool.map(
-                    _chunk_accumulate,
-                    itertools.repeat(spec.name),
-                    itertools.repeat(k),
-                    bounds[:-1],
-                    bounds[1:],
-                )
-            )
-        acc = [sum(col) for col in zip(*chunks)]
-    else:
-        acc = [Fraction(0)] * (k + 1)
-        for pm in enumerate_partitions(k):
-            _add_partition_term(acc, pm, spec)
-    if k % 2:
-        acc = [-c for c in acc]
+    h = [Fraction(0)] + [(-1) ** (i + 1) * spec.inner_value(i) for i in range(1, k + 1)]
+    term = [Fraction(1)] + [Fraction(0)] * k  # h**n / n! up to u**k, n = 0
+    acc = [Fraction(0)] * (k + 1)
+    for n in range(k + 1):
+        if n:
+            # h**n / n! from h**(n-1) / (n-1)!; h**n has no term below u**n
+            term = [Fraction(0)] * n + [
+                sum(term[j] * h[i - j] for j in range(n - 1, i)) / n
+                for i in range(n, k + 1)
+            ]
+        for j, c in enumerate(pochhammer_poly(n).coefficients):
+            acc[j] += c * term[k]
     return RhoPolynomial(acc)
 
 
@@ -180,8 +140,8 @@ class OracleStream:
     and the target is E = exp(rho * L) with L = -M (cosecant) or L = M
     negated consistently so that E collects (base)**(-rho); its rows obey
         E_k = (rho/k) * sum_{j=1}^{k} j * L_j * E_{k-j},
-    evaluated over polynomials in rho.  Incremental extension exists so
-    benchmarks can time one added order at a time.
+    evaluated over polynomials in rho.  Rows are built in order, so a
+    stream extended to order k holds every row up to k.
     """
 
     def __init__(self, spec: SeriesSpec):

@@ -2,8 +2,8 @@
 
 Partitions of k are enumerated as weakly decreasing part lists in
 decreasing lexicographic order, so [k] comes first and [1]*k last.  That
-order is part of the package contract: tabulated per-partition output and
-the chunked parallel accumulation both rely on it being stable.
+order is part of the package contract: the rows ``table1`` prints follow
+it, and that output is the only one that depends on it.
 """
 
 from __future__ import annotations

@@ -7,7 +7,9 @@ import sys
 
 import pytest
 
-from gencosec.cli import main
+from gencosec.cli import TABLE1_ROWS_MAX, main
+from gencosec.partitions import partition_count
+from gencosec.suites import run_suite
 
 
 def run(capsys, *argv):
@@ -105,11 +107,25 @@ def test_secant_value(capsys):
     assert json.loads(out)[0]["value"] == "5/24"
 
 
-def test_jobs_flag_matches_sequential(capsys):
-    code, seq, _ = run(capsys, "cosec", "--k", "10")
-    code2, par, _ = run(capsys, "cosec", "--k", "10", "--jobs", "2")
-    assert code == code2 == 0
-    assert seq == par
+# sha256 of row output, recorded while rows were still summed one
+# partition at a time
+ROW_DIGESTS = [
+    (("cosec", "--k", "40", "--format", "json"),
+     "1f1a98a2c4aaf76a8e4612fce7d2b0810485bbe4e378c208d21146856bba71b3"),
+    (("secant", "--k", "40", "--format", "json"),
+     "99325ba9bc50f8923a7a38a1e750ba647b4e5843092294a0cebf9ecf1fb03b20"),
+    (("cosec", "--k", "0"),
+     "dc9b84d2267604bef66c9ece15396aaa545e9955f40647e34ac04bc87c93a185"),
+    (("secant", "--k", "25", "--rho=-3/7", "--format", "json"),
+     "3a641e3cf5aafa07d76f8b26733e053a60ae168d58c2e653e395fe355549dbda"),
+]
+
+
+@pytest.mark.parametrize(("argv", "digest"), ROW_DIGESTS)
+def test_row_output_bytes(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_coeff_closed_triples(capsys):
@@ -126,6 +142,14 @@ def test_verify_json_and_exit_code(capsys):
     reports = json.loads(out)
     assert all(r["equal"] for r in reports)
     assert "0 failures" in err
+
+
+def test_verify_json_is_one_indented_document(capsys):
+    # about 20k encoder pieces, so the output is written in several batches
+    code, out, _ = run(capsys, "verify", "--suite", "all")
+    assert code == 0
+    expected = [r.as_dict() for r in run_suite("all")]
+    assert out == json.dumps(expected, indent=2) + "\n"
 
 
 def test_verify_range_override(capsys):
@@ -181,6 +205,12 @@ def test_zeta_output_bytes(capsys, mv, digest):
         (["zeta", "--m", "1", "--v", "10"], "5"),
         (["table2", "--k-max", "-2"], None),
         (["zeta", "--m", "31", "--v", "40"], None),
+        (["table1", "--k", "46"], None),
+        (["table1", "--k", "100"], None),
+        (["cosec", "--k", "101"], None),
+        (["secant", "--k", "101", "--rho", "2"], None),
+        (["table2", "--k-max", "101"], None),
+        (["verify", "--suite", "oracle", "--k-max", "101"], None),
     ],
 )
 def test_bad_input_is_usage_error(capsys, monkeypatch, argv, env_precision):
@@ -202,12 +232,8 @@ def test_precision_env_default(capsys, monkeypatch):
     assert json.loads(out)[0]["precision"] == 33
 
 
-def test_bench_runs_and_verifies(capsys):
-    code, out, _ = run(capsys, "bench", "--k-max", "3", "--method", "both")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "k  partition_s  oracle_s"
-    assert len(lines) == 4
+def test_table1_limit_admits_k45():
+    assert partition_count(45) <= TABLE1_ROWS_MAX < partition_count(46)
 
 
 def test_out_flag_writes_file(capsys, tmp_path):

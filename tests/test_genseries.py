@@ -7,7 +7,7 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gencosec.exactnum import RhoPolynomial, hp_context, pi_hp, poly_eval
+from gencosec.exactnum import RhoPolynomial, hp_context, pi_hp, pochhammer_poly, poly_eval
 from gencosec.genseries import (
     COSECANT,
     SECANT,
@@ -22,6 +22,7 @@ from gencosec.genseries import (
     zeta_even_factor,
     zeta_even_from_cosecant,
 )
+from gencosec.partitions import enumerate_partitions
 
 
 class TestRows:
@@ -95,17 +96,45 @@ class TestOracle:
             oracle_explog(3, kind="tangent")
 
 
-class TestParallel:
-    def test_parallel_equals_sequential(self):
-        for k in (8, 11):
-            seq = partition_transform(k, COSECANT)
-            par = partition_transform(k, COSECANT, jobs=3)
-            assert seq == par
-        assert partition_transform(9, SECANT, jobs=2) == gen_secant(9)
+def literal_partition_sum(k, spec):
+    """The paper's sum with one term per partition of k, as written."""
+    acc = [Fraction(0)] * (k + 1)
+    for pm in enumerate_partitions(k):
+        term = Fraction((-1) ** (k + pm.length))
+        for part, mult in pm.counts:
+            term *= spec.inner_value(part) ** mult / factorial(mult)
+        for j, c in enumerate(pochhammer_poly(pm.length).coefficients):
+            acc[j] += c * term
+    return RhoPolynomial(acc)
 
-    def test_small_work_falls_back(self):
-        # too few partitions to split: same answer either way
-        assert partition_transform(2, COSECANT, jobs=8) == gen_cosecant(2)
+
+@pytest.mark.parametrize("spec", [COSECANT, SECANT], ids=lambda spec: spec.name)
+def test_three_routes_agree(spec):
+    # length-grouped transform vs the literal partition sum (k <= 20,
+    # where p(k) stays small) and vs the exp-log oracle (k <= 60)
+    oracle = OracleStream(spec)
+    for k in range(61):
+        row = partition_transform(k, spec)
+        assert row == oracle.row(k), k
+        if k <= 20:
+            assert row == literal_partition_sum(k, spec), k
+
+
+small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=9)
+
+
+@given(
+    a=small_rationals,
+    b=small_rationals,
+    k=st.integers(min_value=0, max_value=30),
+    build=st.sampled_from([gen_cosecant, gen_secant]),
+)
+@settings(deadline=None, max_examples=40)
+def test_rows_convolve(a, b, k, build):
+    # (z/sin z)**(a+b) and sec(z)**(a+b) are products of the a and b series
+    left = poly_eval(build(k), a + b)
+    right = sum(poly_eval(build(i), a) * poly_eval(build(k - i), b) for i in range(k + 1))
+    assert left == right
 
 
 def bernoulli_oracle(n_max):
