@@ -24,12 +24,10 @@ from .genseries import (
     COSECANT,
     SECANT,
     OracleStream,
-    SeriesTable,
     bernoulli_from_cosecant,
     cosecant_number,
     gen_cosecant,
     gen_secant,
-    oracle_explog,
     partition_transform,
     zeta_even_from_cosecant,
 )
@@ -54,7 +52,6 @@ __all__ = [
     "PartitionMultiset",
     "RhoPolynomial",
     "SECANT",
-    "SeriesTable",
     "approx_cosecant",
     "asymptotic_error_report",
     "bernoulli_from_cosecant",
@@ -72,7 +69,6 @@ __all__ = [
     "hurwitz_identity",
     "identity_nine",
     "leading_closed",
-    "oracle_explog",
     "partition_count",
     "partition_transform",
     "pi_hp",

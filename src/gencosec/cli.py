@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import inspect
 import itertools
 import json
 import os
@@ -22,7 +23,7 @@ from .genseries import COSECANT, OracleStream, gen_cosecant, gen_secant
 from .partitions import enumerate_partitions, partition_count
 from .refdata import load_table2, load_table3, load_table4
 from .stirling import r_poly
-from .suites import SUITES, run_suite
+from .suites import SUITES, run_suite, suite_all
 from .symzeta import riemann_limit
 
 __all__ = ["main"]
@@ -33,9 +34,10 @@ PRECISION_ENV = "GENCOSEC_PRECISION"
 #: zeta(2m) factor builds cosecant row m, which grows steeply past it.
 ZETA_M_MAX = 30
 
-#: Deepest row order accepted by ``cosec``/``secant --k``, ``table2 --k-max``
-#: and ``verify --k-max``.  One row at this order takes about 2 s, and all
-#: rows up to it about 40 s (2-vCPU x86-64, CPython 3.11).
+#: Deepest row order accepted by ``cosec``/``secant --k``, ``table2 --k-max``,
+#: ``table3 --ks`` and ``verify --k-max`` (``verify --v-max`` one more).  One
+#: row at this order takes about 2 s, and all rows up to it about 40 s
+#: (2-vCPU x86-64, CPython 3.11).
 ROW_K_MAX = 100
 
 #: Most rows ``table1`` prints; partition_count(45) = 89134 is the deepest
@@ -135,9 +137,9 @@ def cmd_table2(args) -> int:
 
     failures = 0
     notes = []
-    oracle_rows = OracleStream(COSECANT).table(args.k_max)
+    oracle = OracleStream(COSECANT)
     for k in range(args.k_max + 1):
-        if gen_cosecant(k) != oracle_rows.row(k):
+        if gen_cosecant(k) != oracle.row(k):
             notes.append(f"k={k}: partition and exp-log methods DISAGREE")
             failures += 1
     printed_rows, diffs = load_table2()
@@ -173,6 +175,8 @@ def cmd_table3(args) -> int:
     statuses = {(c["rho"], c["k"]): c for c in fixture["cells"]}
     rhos = args.rhos or fixture["rhos"]
     ks = args.ks or fixture["ks"]
+    for k in ks:
+        _check_row_order("--ks", k)
     rows = []
     for rho in rhos:
         row = {"rho": rho}
@@ -240,13 +244,21 @@ def cmd_coeff_closed(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.k_max is not None:
-        _check_row_order("--k-max", args.k_max)
+    # a range flag is passed on only to a suite whose function takes it;
+    # the v suites build cosecant rows up to v_max - 1
+    suite = suite_all if args.suite == "all" else SUITES[args.suite]
+    takes = inspect.signature(suite).parameters
     kwargs = {}
-    if args.suite in ("rho-identities", "oracle", "stirling") and args.k_max:
-        kwargs["k_max"] = args.k_max
-    if args.suite in ("nine", "hurwitz", "c2v") and args.v_max:
-        kwargs["v_max"] = args.v_max
+    for name, limit in (("k_max", ROW_K_MAX), ("v_max", ROW_K_MAX + 1)):
+        value = getattr(args, name)
+        if value is None:
+            continue
+        flag = "--" + name.replace("_", "-")
+        if name not in takes:
+            raise ValueError(f"--suite {args.suite} does not take {flag}")
+        if not 1 <= value <= limit:
+            raise ValueError(f"{flag} must be in 1..{limit}, got {value}")
+        kwargs[name] = value
     reports = run_suite(args.suite, **kwargs)
     if args.format == "json":
         rows = [r.as_dict() for r in reports]

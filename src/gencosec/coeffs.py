@@ -38,7 +38,6 @@ __all__ = [
     "coefficient",
     "fit_leading",
     "leading_closed",
-    "near_truncation_boundary",
     "truncate_decimal_string",
 ]
 
@@ -194,20 +193,6 @@ def truncate_decimal_string(q: Fraction, places: int = 6) -> str:
         raise ValueError("negative values are not truncated here")
     scaled = (q.numerator * 10**places) // q.denominator
     return f"{scaled // 10**places}.{scaled % 10**places:0{places}d}"
-
-
-def near_truncation_boundary(
-    q: Fraction, places: int = 6, tolerance: Fraction = Fraction(1, 10**12)
-) -> bool:
-    """True when q sits within ``tolerance`` of a truncation boundary.
-
-    Truncation boundaries are the multiples of 10**-places; a value this
-    close to one means the printed digits are sensitive to any upstream
-    perturbation, so emitters attach a warning.
-    """
-    step = Fraction(1, 10**places)
-    frac = (q / step) - (q.numerator * 10**places) // q.denominator
-    return frac < tolerance / step or 1 - frac < tolerance / step
 
 
 def beta_ratio(rho: RationalLike, k: int) -> str:

@@ -11,7 +11,7 @@ ways:
   secant family; a ``SeriesSpec`` names the family by its inner(i).  The
   partitions of each length N are summed at once (the partial Bell / Faa
   di Bruno grouping), so no partition is enumerated.
-* ``oracle_explog`` never looks at a partition: it takes the logarithm of
+* ``OracleStream`` never looks at a partition: it takes the logarithm of
   the base series in u = z**2 by the standard quotient recurrence, scales
   by rho, and exponentiates, so agreement with the transform is a real
   cross-check rather than two paths through shared code.
@@ -37,12 +37,10 @@ __all__ = [
     "SECANT",
     "OracleStream",
     "SeriesSpec",
-    "SeriesTable",
     "bernoulli_from_cosecant",
     "cosecant_number",
     "gen_cosecant",
     "gen_secant",
-    "oracle_explog",
     "partition_transform",
     "zeta_even_factor",
     "zeta_even_from_cosecant",
@@ -65,8 +63,6 @@ class SeriesSpec:
 
 COSECANT = SeriesSpec("cosecant", lambda i: Fraction(1, factorial(2 * i + 1)))
 SECANT = SeriesSpec("secant", lambda i: Fraction(1, factorial(2 * i)))
-
-SPEC_BY_NAME = {spec.name: spec for spec in (COSECANT, SECANT)}
 
 
 def partition_transform(k: int, spec: SeriesSpec) -> RhoPolynomial:
@@ -114,23 +110,6 @@ def cosecant_number(k: int) -> Fraction:
     return poly_eval(gen_cosecant(k), 1)
 
 
-@dataclass(frozen=True)
-class SeriesTable:
-    """Rows 0..k_max of one series family, indexed by order."""
-
-    name: str
-    rows: tuple[RhoPolynomial, ...]
-
-    @property
-    def k_max(self) -> int:
-        return len(self.rows) - 1
-
-    def row(self, k: int) -> RhoPolynomial:
-        if not 0 <= k <= self.k_max:
-            raise ValueError(f"row {k} outside table range 0..{self.k_max}")
-        return self.rows[k]
-
-
 class OracleStream:
     """Exp-log composition oracle, extended one order at a time.
 
@@ -150,10 +129,6 @@ class OracleStream:
         self._log: list[Fraction] = [Fraction(0)]
         self._rows: list[RhoPolynomial] = [RhoPolynomial.one()]
 
-    @property
-    def k_max(self) -> int:
-        return len(self._rows) - 1
-
     def extend(self) -> RhoPolynomial:
         """Compute and return the next row."""
         k = len(self._rows)
@@ -171,24 +146,12 @@ class OracleStream:
         return self._rows[k]
 
     def row(self, k: int) -> RhoPolynomial:
-        while self.k_max < k:
+        """Row k, extending the stream as far as it needs."""
+        if k < 0:
+            raise ValueError(f"order must be nonnegative, got {k}")
+        while len(self._rows) <= k:
             self.extend()
         return self._rows[k]
-
-    def table(self, k_max: int) -> SeriesTable:
-        self.row(k_max)
-        return SeriesTable(name=self._spec.name, rows=tuple(self._rows[: k_max + 1]))
-
-
-def oracle_explog(k_max: int, kind: str = "cosecant") -> SeriesTable:
-    """Rows 0..k_max by series composition, independent of partitions."""
-    if k_max < 0:
-        raise ValueError(f"order must be nonnegative, got {k_max}")
-    try:
-        spec = SPEC_BY_NAME[kind]
-    except KeyError:
-        raise ValueError(f"unknown series kind {kind!r}") from None
-    return OracleStream(spec).table(k_max)
 
 
 def bernoulli_from_cosecant(k: int) -> Fraction:

@@ -1,7 +1,9 @@
 """Loaders for the published reference tables bundled as JSON.
 
-Each fixture stores a printed table verbatim plus an ``expect_diff``
-list for the cells where the print disagrees with exact computation.
+Each fixture stores a printed table verbatim and records where the print
+disagrees with exact computation: tables 2 and 4 in an ``expect_diff``
+list, table 3 as a per-cell ``status`` (``matches_truncation``,
+``matches_rounding`` or ``differs``).
 The verification suites and the CLI table commands both consume these,
 so the printed values live in exactly one place.
 """

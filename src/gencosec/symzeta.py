@@ -3,11 +3,14 @@
 s(v,n) is the nth elementary symmetric polynomial of {1^2, ..., (v-1)^2}.
 These connect to the cosecant rows through c_{2v,i} = 4**i * s(v,i) *
 Gamma(2v-2i)/Gamma(2v), and from there to exact identities expressing the
-partial sums sum_{k<v} k**(-2m) (equivalently zeta(2m) - zeta(2m,v)) as
-rational combinations of row-value ratios.  The combination for every m
-follows from the Newton-Girard identities, because the scaled ratios are
-the elementary symmetric polynomials of {1/k^2}.  Everything rational here
-is exact; Decimals appear only in the v -> infinity limit report, whose
+power sums T_m = sum_{k<v} k**(-2m) (equivalently zeta(2m) - zeta(2m,v))
+as rational combinations of row-value ratios.  Newton's identities tie
+the three together, and they are applied both ways: the scaled ratios
+are the elementary symmetric polynomials of {1/k^2}, so
+``power_sum_from_ratios`` turns them into T_m for every m, and
+``sym_high_partition`` turns T_1..T_{ell-1} back into s(v, v-ell).  Every
+T_m is formed by ``harmonic_power_sum``.  Everything rational here is
+exact; Decimals appear only in the v -> infinity limit report, whose
 estimate is the power sum itself and whose zeta(2m) comes from the rows
 through ``zeta_even_factor``.
 """
@@ -23,11 +26,9 @@ from typing import NamedTuple, Sequence
 
 from .exactnum import hp_context, pi_hp, poly_eval, to_decimal
 from .genseries import gen_cosecant, zeta_even_factor
-from .partitions import enumerate_partitions
 
 __all__ = [
     "IdentityReport",
-    "PowerSums",
     "RiemannLimit",
     "harmonic_power_sum",
     "hurwitz_identity",
@@ -85,73 +86,47 @@ def sym_closed_low(v: int, n: int) -> Fraction:
     raise ValueError(f"no closed form for n={n}; available: 0, 1, 2")
 
 
-@dataclass(frozen=True)
-class PowerSums:
-    """Exact power sums T_m = sum_{j=1}^{v-1} j**(-2m).
-
-    T_m equals zeta(2m) - zeta(2m,v); keeping it as a Fraction is what
-    makes every identity in this module testable with zero tolerance.
-    """
-
-    v: int
-    values: tuple[Fraction, ...]
-
-    @classmethod
-    def build(cls, v: int, m_max: int) -> "PowerSums":
-        if v < 1:
-            raise ValueError(f"needs v >= 1, got {v}")
-        if m_max < 1:
-            raise ValueError(f"needs m_max >= 1, got {m_max}")
-        values = tuple(
-            sum((Fraction(1, j ** (2 * m)) for j in range(1, v)), Fraction(0))
-            for m in range(1, m_max + 1)
-        )
-        return cls(v=v, values=values)
-
-    def t(self, m: int) -> Fraction:
-        if not 1 <= m <= len(self.values):
-            raise ValueError(f"m must be in 1..{len(self.values)}, got {m}")
-        return self.values[m - 1]
-
-
 def harmonic_power_sum(v: int, r: int) -> Fraction:
-    """Generalized harmonic number H_{v-1,r} = sum_{k=1}^{v-1} k**-r."""
+    """Generalized harmonic number H_{v-1,r} = sum_{k=1}^{v-1} k**-r, exactly.
+
+    For r = 2m this is the power sum T_m = zeta(2m) - zeta(2m,v); keeping
+    it as a Fraction is what makes every identity in this module testable
+    with zero tolerance.  Every power sum in the package is formed here.
+    """
     if v < 2:
         raise ValueError(f"needs v >= 2, got {v}")
     if r < 2 or r % 2:
         raise ValueError(f"r must be even and at least 2, got {r}")
-    return PowerSums.build(v, r // 2).t(r // 2)
+    return sum(Fraction(1, j**r) for j in range(1, v))
 
 
 def sym_high_partition(v: int, ell: int) -> Fraction:
-    """s(v, v-ell) by the partition expansion over power sums.
+    """s(v, v-ell) from the power sums, by Newton's identities.
 
-    Removing the all-distinct constraint from the defining sum leaves one
-    term per partition of ell-1:
+    Dividing each product of v-ell squares by the product of all v-1
+    squares leaves a product of ell-1 reciprocal squares, so
 
-        s(v,v-ell) = ((v-1)!)**2 * sum over partitions of ell-1 of
-                     (-1)**((ell-1) - N) * prod_m T_m**lam_m / (lam_m! m**lam_m)
+        s(v,v-ell) = ((v-1)!)**2 * e_{ell-1}
 
-    with N the partition length.  The per-partition factor is the
-    exponential cycle-index weight; the worked {2,1} case gives weight
-    3!/(2 * 1! * 1 * 1!) = 3 before the overall 1/(ell-1)! is applied,
-    and the all-ones partition always enters positively.
+    with e_n the nth elementary symmetric polynomial of {1/j^2 : j < v}.
+    The e_n follow from the power sums T_i = H_{v-1,2i} by
+
+        n e_n = sum_{i=1}^{n} (-1)**(i-1) e_{n-i} T_i,
+
+    the inverse of ``power_sum_from_ratios``, in O(ell**2) products.  No
+    partition is enumerated and the product recurrence behind ``sym_poly``
+    is not used, so agreement with ``sym_poly(v, v-ell)`` is an
+    independent check.
     """
     if ell < 1:
         raise ValueError(f"needs ell >= 1, got {ell}")
     if ell > v:
         raise ValueError(f"needs ell <= v, got ell={ell}, v={v}")
-    sums = PowerSums.build(v, max(ell - 1, 1))
-    total = Fraction(0)
-    for pm in enumerate_partitions(ell - 1):
-        term = Fraction(1)
-        for part, mult in pm.counts:
-            term *= sums.t(part) ** mult
-            term /= factorial(mult) * part**mult
-        if (ell - 1 - pm.length) % 2:
-            term = -term
-        total += term
-    return factorial(v - 1) ** 2 * total
+    sums = [None] + [harmonic_power_sum(v, 2 * i) for i in range(1, ell)]
+    e = [Fraction(1)]
+    for n in range(1, ell):
+        e.append(sum((-1) ** (i - 1) * e[n - i] * sums[i] for i in range(1, n + 1)) / n)
+    return factorial(v - 1) ** 2 * e[ell - 1]
 
 
 @dataclass(frozen=True)
@@ -238,7 +213,7 @@ def hurwitz_identity(v: int, m: int) -> IdentityReport:
         raise ValueError(f"needs m >= 1, got {m}")
     if v < m + 1:
         raise ValueError(f"needs v >= m+1 to form the ratios, got v={v}, m={m}")
-    left = PowerSums.build(v, m).t(m)
+    left = harmonic_power_sum(v, 2 * m)
     right = _hurwitz_rhs(v, m)
     boundary = v == m + 1
     return IdentityReport(
@@ -276,7 +251,7 @@ def riemann_limit(m: int, v: int, precision: int) -> RiemannLimit:
         raise ValueError(f"needs v >= m+2, got v={v}, m={m}")
     if precision < 30:
         raise ValueError(f"precision must be at least 30, got {precision}")
-    estimate_exact = PowerSums.build(v, m).t(m)
+    estimate_exact = harmonic_power_sum(v, 2 * m)
     factor = zeta_even_factor(m)
     with localcontext(hp_context(precision)):
         pi = pi_hp(precision + 10)

@@ -44,27 +44,41 @@ def verdict(number: int, ok: bool, detail: str) -> str:
     return line
 
 
+# The coefficients of table 2 that disagree with computation, keyed by
+# (k, power of rho), quoted from the print.
+TABLE2_MISPRINTS = {(6, 2): "3327594"}
+
+
 def test_criterion_01_table2_reproduction():
     start = time.perf_counter()
     rows, expected_diffs = load_table2()
-    oracle = OracleStream(COSECANT).table(15)
+    oracle = OracleStream(COSECANT)
     methods_agree = all(gen_cosecant(k) == oracle.row(k) for k in range(16))
     allowed = {(d["k"], d["power"]) for d in expected_diffs}
-    unexpected, seen = [], []
+    unexpected, seen, misprints = [], [], {}
     for ref in rows:
         computed = gen_cosecant(ref.k).coefficients
         for power, (p, c) in enumerate(zip(ref.rational_coefficients(), computed)):
             if p == c:
                 continue
             (seen if (ref.k, power) in allowed else unexpected).append((ref.k, power))
+            misprints[(ref.k, power)] = (str(ref.coeffs[power]), c / ref.prefactor)
     elapsed = time.perf_counter() - start
-    ok = methods_agree and not unexpected and set(seen) == allowed and elapsed < 60
+    printed = {cell: text for cell, (text, _) in misprints.items()}
+    ok = (
+        methods_agree
+        and not unexpected
+        and set(seen) == allowed
+        and printed == TABLE2_MISPRINTS
+        and elapsed < 60
+    )
     line = verdict(
         1,
         ok,
-        f"rows 0..15 match print except expect-diff cells {sorted(seen)} "
-        f"(printed 3327594 -> computed 3327584); methods agree: {methods_agree}; "
-        f"unexpected diffs: {unexpected}; {elapsed:.1f}s",
+        f"rows 0..15 match print except expect-diff cells {sorted(seen)} ("
+        + "; ".join(f"printed {text} -> computed {c}" for text, c in misprints.values())
+        + f"); methods agree: {methods_agree}; unexpected diffs: {unexpected}; "
+        f"{elapsed:.1f}s",
     )
     assert ok, line
 
@@ -118,7 +132,7 @@ def six_places(q: Fraction, half_up: bool) -> str:
 def test_criterion_03_table3_reproduction():
     start = time.perf_counter()
     fixture = load_table3()
-    oracle = OracleStream(COSECANT).table(15)
+    oracle = OracleStream(COSECANT)
     methods_agree = True
     counts = {"matches_truncation": 0, "matches_rounding": 0, "differs": 0}
     misprints, wrong = {}, []
@@ -171,15 +185,24 @@ def test_criterion_03_table3_reproduction():
     assert ok, line
 
 
+# The rows of table 4 that disagree with r_ell, quoted from the print as
+# (denominator, times k(k-1), inner ascending coefficients).
+TABLE4_MISPRINTS = {
+    8: (3840, False, (596367504, -66262636, -540, -2345, -840, 3150, -1260, 135)),
+    9: (768, True, (-144, 404, 100, -665, -448, 630, -180, 15)),
+}
+
+
 def test_criterion_04_table4_reproduction():
     rows, diffs = load_table4()
     recorded = {d["ell"]: d["derived_poly"] for d in diffs}
-    match_ells, mismatch_ells = [], []
+    match_ells, mismatch_ells, misprints = [], [], {}
     for row in rows:
         if row.coefficients() == r_poly(row.ell).coefficients:
             match_ells.append(row.ell)
         else:
             mismatch_ells.append(row.ell)
+            misprints[row.ell] = (row.denominator, row.k_factor, row.inner)
     derived_ok = all(
         derived.coefficients() == r_poly(ell).coefficients
         for ell, derived in recorded.items()
@@ -208,6 +231,7 @@ def test_criterion_04_table4_reproduction():
     ok = (
         len(rows) == 10
         and set(mismatch_ells) == set(recorded)
+        and misprints == TABLE4_MISPRINTS
         and derived_ok
         and all(derived_identity.values())
         and all(printed_fails.values())
@@ -216,7 +240,8 @@ def test_criterion_04_table4_reproduction():
         4,
         ok,
         f"printed rows match for ell in {match_ells}; mismatches at {mismatch_ells}, "
-        f"recorded misprints {sorted(recorded)} "
+        f"recorded misprints {sorted(recorded)}, printed rows as quoted: "
+        f"{misprints == TABLE4_MISPRINTS} "
         "(the printed ell=8 row has a wrong constant and k-coefficient; the printed "
         "ell=9 row has total degree 9; the derived degree-8 polynomial "
         "k(15k^7-180k^6+630k^5-448k^4-665k^3+100k^2+404k+144)/768 replaces it); "

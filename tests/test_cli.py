@@ -158,6 +158,10 @@ def test_verify_range_override(capsys):
     reports = json.loads(out)
     # both series families, k = 0..5 each
     assert len(reports) == 12
+    code, out, _ = run(capsys, "verify", "--suite", "hurwitz", "--v-max", "7")
+    assert code == 0
+    # m = 1..5, v = m+1..7
+    assert len(json.loads(out)) == 20
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):
@@ -211,6 +215,14 @@ def test_zeta_output_bytes(capsys, mv, digest):
         (["secant", "--k", "101", "--rho", "2"], None),
         (["table2", "--k-max", "101"], None),
         (["verify", "--suite", "oracle", "--k-max", "101"], None),
+        (["verify", "--suite", "oracle", "--k-max", "0"], None),
+        (["verify", "--suite", "oracle", "--k-max", "-3"], None),
+        (["verify", "--suite", "hurwitz", "--v-max", "-1"], None),
+        (["verify", "--suite", "nine", "--k-max", "3"], None),
+        (["verify", "--suite", "all", "--k-max", "200"], None),
+        (["table3", "--ks", "150", "--rhos", "10"], None),
+        (["beta-table", "--ks", "101"], None),
+        (["verify", "--suite", "c2v", "--v-max", "102"], None),
     ],
 )
 def test_bad_input_is_usage_error(capsys, monkeypatch, argv, env_precision):

@@ -104,6 +104,12 @@ class TestPi:
         long = str(pi_hp(120))
         assert long.startswith(str(pi_hp(80))[:75])
 
+    def test_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(1020):
+            got = mpmath.mpf(str(pi_hp(1000)))
+            assert abs(got - mpmath.pi) <= mpmath.mpf(10) ** (5 - 1000) * mpmath.pi
+
     def test_minimum_precision(self):
         assert str(pi_hp(1)) == "3"
         with pytest.raises(ValueError):

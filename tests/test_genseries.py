@@ -12,12 +12,10 @@ from gencosec.genseries import (
     COSECANT,
     SECANT,
     OracleStream,
-    SeriesTable,
     bernoulli_from_cosecant,
     cosecant_number,
     gen_cosecant,
     gen_secant,
-    oracle_explog,
     partition_transform,
     zeta_even_factor,
     zeta_even_from_cosecant,
@@ -67,33 +65,26 @@ class TestRows:
 
 class TestOracle:
     def test_matches_partition_transform(self):
-        table = oracle_explog(12)
+        oracle = OracleStream(COSECANT)
         for k in range(13):
-            assert table.row(k) == gen_cosecant(k)
-        table = oracle_explog(10, kind="secant")
+            assert oracle.row(k) == gen_cosecant(k)
+        oracle = OracleStream(SECANT)
         for k in range(11):
-            assert table.row(k) == gen_secant(k)
+            assert oracle.row(k) == gen_secant(k)
 
     def test_stream_grows_incrementally(self):
         stream = OracleStream(COSECANT)
-        assert stream.k_max == 0
-        stream.extend()
-        assert stream.k_max == 1
+        assert stream.extend() == gen_cosecant(1)
         assert stream.row(1) == gen_cosecant(1)
-        got = stream.table(5)
-        assert isinstance(got, SeriesTable)
-        assert got.k_max == 5
+        assert stream.row(5) == gen_cosecant(5)
+        # row(5) extended the stream exactly to order 5
+        assert stream.extend() == gen_cosecant(6)
 
     def test_row_out_of_range(self):
-        table = oracle_explog(3)
+        stream = OracleStream(COSECANT)
+        stream.row(3)
         with pytest.raises(ValueError):
-            table.row(4)
-        with pytest.raises(ValueError):
-            table.row(-1)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            oracle_explog(3, kind="tangent")
+            stream.row(-1)
 
 
 def literal_partition_sum(k, spec):

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gencosec.exactnum import to_decimal
+from gencosec.partitions import enumerate_partitions
 from gencosec.symzeta import (
-    PowerSums,
     _hurwitz_rhs,
     harmonic_power_sum,
     hurwitz_identity,
@@ -74,11 +74,43 @@ class TestClosedLow:
             sym_closed_low(5, 3)
 
 
+def literal_partition_sum(v, ell):
+    """s(v, v-ell) as the cycle-index sum over the partitions of ell-1.
+
+    Removing the all-distinct constraint from the defining sum leaves one
+    term per partition of ell-1:
+
+        s(v,v-ell) = ((v-1)!)**2 * sum over partitions of ell-1 of
+                     (-1)**((ell-1) - N) * prod_m T_m**lam_m / (lam_m! m**lam_m)
+
+    with N the partition length and T_m = sum_{j<v} j**(-2m).
+    """
+    total = Fraction(0)
+    for pm in enumerate_partitions(ell - 1):
+        term = Fraction(1)
+        for part, mult in pm.counts:
+            t = sum((Fraction(1, j ** (2 * part)) for j in range(1, v)), Fraction(0))
+            term *= t**mult
+            term /= factorial(mult) * part**mult
+        if (ell - 1 - pm.length) % 2:
+            term = -term
+        total += term
+    return factorial(v - 1) ** 2 * total
+
+
 class TestSymHigh:
     def test_agrees_with_product(self):
         for v in range(1, 16):
             for ell in range(1, min(v, 6) + 1):
                 assert sym_high_partition(v, ell) == sym_poly(v, v - ell), (v, ell)
+
+    def test_matches_literal_partition_sum(self):
+        # Newton's identities vs the cycle-index sum and the product
+        for v in range(1, 31):
+            for ell in range(1, min(v, 12) + 1):
+                want = sym_poly(v, v - ell)
+                assert sym_high_partition(v, ell) == want, (v, ell)
+                assert literal_partition_sum(v, ell) == want, (v, ell)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -103,9 +135,10 @@ class TestPowerSums:
         assert harmonic_power_sum(3, 12) == 1 + Fraction(1, 2**12)
 
     def test_exactness(self):
-        sums = PowerSums.build(6, 3)
-        assert sums.t(1) == sum(Fraction(1, j**2) for j in range(1, 6))
-        assert sums.t(3) == sum(Fraction(1, j**6) for j in range(1, 6))
+        got = harmonic_power_sum(6, 2)
+        assert isinstance(got, Fraction)
+        assert got == 1 + Fraction(1, 4) + Fraction(1, 9) + Fraction(1, 16) + Fraction(1, 25)
+        assert harmonic_power_sum(6, 6) == sum(Fraction(1, j**6) for j in range(1, 6))
 
 
 class TestIdentityNine:
@@ -231,6 +264,19 @@ class TestRiemannLimit:
         d = [riemann_limit(2, v, 40).deviation for v in (10, 20, 40)]
         assert Decimal(7) < d[0] / d[1] < Decimal(9)
         assert Decimal(7) < d[1] / d[2] < Decimal(9)
+
+    @pytest.mark.parametrize(("m", "v"), [(1, 1000), (2, 10), (3, 2000), (5, 3000)])
+    def test_against_mpmath(self, m, v):
+        mpmath = pytest.importorskip("mpmath")
+        precision = 1000
+        res = riemann_limit(m, v, precision)
+        with mpmath.workdps(precision + 20):
+            tail = mpmath.zeta(2 * m, v)
+            partial = mpmath.zeta(2 * m) - tail
+            tolerance = mpmath.mpf(10) ** (5 - precision)
+            assert abs(mpmath.mpf(str(res.estimate)) - partial) <= tolerance * partial
+            # a difference of two values near zeta(2m): absolute digits
+            assert abs(mpmath.mpf(str(res.deviation)) - tail) <= tolerance
 
     def test_domain(self):
         with pytest.raises(ValueError):
