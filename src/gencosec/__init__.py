@@ -9,14 +9,12 @@ polynomial and Hurwitz zeta identities at rho = 2v.
 """
 
 from .coeffs import (
-    approx_cosecant,
-    asymptotic_error_report,
     beta_ratio,
     c2v_vm1_asymptotic,
     c2v_vm1_beta,
     c2v_vm1_sum,
+    closed_form,
     coefficient,
-    fit_leading,
     leading_closed,
 )
 from .exactnum import RhoPolynomial, pi_hp, poly_eval
@@ -52,17 +50,15 @@ __all__ = [
     "PartitionMultiset",
     "RhoPolynomial",
     "SECANT",
-    "approx_cosecant",
-    "asymptotic_error_report",
     "bernoulli_from_cosecant",
     "beta_ratio",
     "c2v_vm1_asymptotic",
     "c2v_vm1_beta",
     "c2v_vm1_sum",
+    "closed_form",
     "coefficient",
     "cosecant_number",
     "enumerate_partitions",
-    "fit_leading",
     "gen_cosecant",
     "gen_secant",
     "harmonic_power_sum",

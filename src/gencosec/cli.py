@@ -21,8 +21,8 @@ from .coeffs import beta_ratio, leading_closed
 from .exactnum import frac_to_str, poly_eval
 from .genseries import COSECANT, OracleStream, gen_cosecant, gen_secant
 from .partitions import enumerate_partitions, partition_count
-from .refdata import load_table2, load_table3, load_table4
-from .stirling import r_poly
+from .refdata import load_table2, load_table3
+from .stirling import ELL_MAX, r_poly
 from .suites import SUITES, run_suite, suite_all
 from .symzeta import riemann_limit
 
@@ -35,9 +35,9 @@ PRECISION_ENV = "GENCOSEC_PRECISION"
 ZETA_M_MAX = 30
 
 #: Deepest row order accepted by ``cosec``/``secant --k``, ``table2 --k-max``,
-#: ``table3 --ks`` and ``verify --k-max`` (``verify --v-max`` one more).  One
-#: row at this order takes about 2 s, and all rows up to it about 40 s
-#: (2-vCPU x86-64, CPython 3.11).
+#: ``table3 --ks``, ``coeff-closed --k-max`` and ``verify --k-max``
+#: (``verify --v-max`` one more).  One row at this order takes about 2 s,
+#: and all rows up to it about 40 s (2-vCPU x86-64, CPython 3.11).
 ROW_K_MAX = 100
 
 #: Most rows ``table1`` prints; partition_count(45) = 89134 is the deepest
@@ -97,8 +97,8 @@ def _row_coeff_strings(poly) -> str:
 
 
 def _check_row_order(flag: str, k: int) -> None:
-    if k > ROW_K_MAX:
-        raise ValueError(f"{flag} must be at most {ROW_K_MAX}, got {k}")
+    if not 0 <= k <= ROW_K_MAX:
+        raise ValueError(f"{flag} must be in 0..{ROW_K_MAX}, got {k}")
 
 
 def cmd_table1(args) -> int:
@@ -124,8 +124,6 @@ def cmd_table1(args) -> int:
 
 
 def cmd_table2(args) -> int:
-    if args.k_max < 0:
-        raise ValueError(f"--k-max must be nonnegative, got {args.k_max}")
     _check_row_order("--k-max", args.k_max)
     rows = [
         {"k": k, "coefficients": _row_coeff_strings(gen_cosecant(k))}
@@ -230,14 +228,14 @@ def cmd_secant(args) -> int:
 
 
 def cmd_coeff_closed(args) -> int:
+    _check_row_order("--k-max", args.k_max)
+    if not 0 <= args.ell_max <= ELL_MAX:
+        raise ValueError(f"--ell-max must be in 0..{ELL_MAX}, got {args.ell_max}")
     rows = []
-    for ell in range(0, min(args.ell_max, 4) + 1):
+    for ell in range(args.ell_max + 1):
         for k in range(ell + 1, args.k_max + 1):
-            try:
-                value = leading_closed(k, ell)
-            except ValueError:
-                continue
-            rows.append({"k": k, "ell": ell, "value": frac_to_str(value)})
+            value = frac_to_str(leading_closed(k, ell))
+            rows.append({"k": k, "ell": ell, "value": value})
     rows.sort(key=lambda r: (r["k"], r["ell"]))
     _emit(rows, ["k", "ell", "value"], args)
     return 0
@@ -344,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table3)
 
     p = sub.add_parser("table4", help="Stirling-ratio polynomials r_ell")
-    p.add_argument("--ell-max", type=int, default=10, choices=range(1, 11))
+    p.add_argument("--ell-max", type=int, default=ELL_MAX, choices=range(1, ELL_MAX + 1))
     _add_common(p)
     p.set_defaults(func=cmd_table4)
 

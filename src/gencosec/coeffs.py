@@ -1,42 +1,40 @@
 """Closed forms, approximations and asymptotics for row coefficients.
 
 C_{k,i} denotes the coefficient of rho**i in the cosecant row of order k.
-The first few coefficients below the leading one admit closed forms in k
-(``leading_closed``); truncating the row to those four terms approximates
-the whole polynomial for |rho| >> k (``approx_cosecant``), and the ratio
-of the truncation to the exact value is the accuracy measure tabulated by
+The highest-order coefficients have closed forms in k: for every ell >= 1,
+C_{k,k-ell} = g_ell(k) / (6**k (k-ell-1)!) with g_ell a polynomial of
+degree ell - 1.  ``closed_form`` derives g_ell from the rows and
+``leading_closed`` evaluates it, for ell up to ``stirling.ELL_MAX``.
+Truncating the row to its four highest terms approximates the whole
+polynomial for |rho| >> k (``approx_cosecant_exact``), and the ratio of
+the truncation to the exact value is the accuracy measure tabulated by
 ``beta_ratio``.  The v-1 row value at rho = 2v has its own family of
 closed and asymptotic forms (``c2v_vm1_*``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Iterable, Union
+from typing import Union
 
 from .exactnum import RhoPolynomial, hp_context, pi_hp, poly_eval, to_decimal
 from .genseries import gen_cosecant
-from .stirling import newton_coefficients, stirling1
+from .stirling import ELL_MAX, fit_polynomial
 
 __all__ = [
     "ASYMPTOTIC_VARIANTS",
-    "CoeffClosedForm",
-    "approx_cosecant",
     "approx_cosecant_exact",
-    "asymptotic_error_report",
     "beta_alternating",
     "beta_ratio",
     "beta_ratio_exact",
     "c2v_vm1_asymptotic",
     "c2v_vm1_beta",
     "c2v_vm1_sum",
-    "ckkm2_from_stirling",
+    "closed_form",
     "coefficient",
-    "fit_leading",
     "leading_closed",
     "truncate_decimal_string",
 ]
@@ -53,101 +51,40 @@ def coefficient(k: int, i: int) -> Fraction:
     return gen_cosecant(k).coefficient(i)
 
 
-@dataclass(frozen=True)
-class CoeffClosedForm:
-    """Closed form C_{k,k-ell} = num(k) / (den_const * 6**(k+off) * (k-shift)!).
+@lru_cache(maxsize=None)
+def closed_form(ell: int) -> RhoPolynomial:
+    """g_ell, the polynomial in k with C_{k,k-ell} = g_ell(k) / (6**k (k-ell-1)!).
 
-    ``numerator`` is the polynomial in k.  Valid from k = ell + 1 on; below
-    that the row has no rho**(k-ell) term.
+    g_ell has degree ell - 1 (the diagonals of the rows are Stirling-type
+    polynomials in k).  Derived from the rows: interpolated at the ell
+    nodes k = ell+1 .. 2*ell and checked against the rows at the next ell
+    orders, k = 2*ell+1 .. 3*ell, so ell <= ELL_MAX reads no row above
+    k = 3*ELL_MAX.
     """
-
-    ell: int
-    numerator: RhoPolynomial
-    den_const: int
-    six_offset: int
-    factorial_shift: int
-
-    def evaluate(self, k: int) -> Fraction:
-        if k < self.ell + 1:
-            raise ValueError(
-                f"closed form for ell={self.ell} starts at k={self.ell + 1}, got {k}"
-            )
-        num = poly_eval(self.numerator, k)
-        den = self.den_const * 6 ** (k + self.six_offset) * factorial(
-            k - self.factorial_shift
-        )
-        return num / den
-
-
-_CLOSED_FORMS = {
-    0: CoeffClosedForm(0, RhoPolynomial([1]), 1, 0, 0),
-    1: CoeffClosedForm(1, RhoPolynomial([1]), 5, 0, 2),
-    2: CoeffClosedForm(2, RhoPolynomial([17, 21]), 175, 1, 3),
-    3: CoeffClosedForm(3, RhoPolynomial([0, Fraction(17, 7), 1]), 125, 1, 4),
-    4: CoeffClosedForm(
-        4,
-        RhoPolynomial(
-            [Fraction(-33510, 539), Fraction(867, 49), Fraction(306, 7), 9]
-        ),
-        625,
-        3,
-        5,
-    ),
-}
-
-
-def leading_closed(k: int, ell: int) -> Fraction:
-    """Closed form for C_{k,k-ell}, available for ell = 0..4.
-
-    ell = 0 gives the leading coefficient 1/(6**k k!); each deeper level
-    divides by one less factorial and picks up a polynomial in k.
-    """
-    if ell not in _CLOSED_FORMS:
-        raise ValueError(f"no closed form for ell={ell}; available: 0..4")
-    return _CLOSED_FORMS[ell].evaluate(k)
-
-
-def ckkm2_from_stirling(k: int) -> Fraction:
-    """C_{k,k-2} assembled from its four contributing partitions.
-
-    Only the partitions {1^k}, {2,1^(k-2)}, {3,1^(k-3)} and {2,2,1^(k-4)}
-    reach the power rho**(k-2); their Pochhammer coefficients are signed
-    Stirling numbers and the signs all cancel to plus:
-
-        C_{k,k-2} = s_k^(k-2)/(6**k k!) + s_{k-1}^(k-2)/(5! 6**(k-2) (k-2)!)
-                  + 1/(7! 6**(k-3) (k-3)!) + 1/(2! (5!)**2 6**(k-4) (k-4)!).
-    """
-    if k < 4:
-        raise ValueError(f"needs k >= 4, got {k}")
-    return (
-        Fraction(stirling1(k, k - 2), 6**k * factorial(k))
-        + Fraction(stirling1(k - 1, k - 2), factorial(5) * 6 ** (k - 2) * factorial(k - 2))
-        + Fraction(1, factorial(7) * 6 ** (k - 3) * factorial(k - 3))
-        + Fraction(1, 2 * factorial(5) ** 2 * 6 ** (k - 4) * factorial(k - 4))
+    if not 1 <= ell <= ELL_MAX:
+        raise ValueError(f"ell must be in 1..{ELL_MAX}, got {ell}")
+    return fit_polynomial(
+        lambda k: coefficient(k, k - ell) * 6**k * factorial(k - ell - 1),
+        range(ell + 1, 2 * ell + 1),
+        3 * ell,
+        f"g_{ell}",
     )
 
 
-_FIT_SIX_OFFSET = {1: 0, 2: 1, 3: 2, 4: 4}
+def leading_closed(k: int, ell: int) -> Fraction:
+    """Closed form for C_{k,k-ell}, available for ell = 0..ELL_MAX and k > ell.
 
-
-def fit_leading(ell: int, six_offset: int | None = None) -> tuple[Fraction, ...]:
-    """Recover the numerator of C_{k,k-ell} by fitting exact row values.
-
-    Conjectures C_{k,k-ell} = g(k) / (6**(k+six_offset) * (k-ell-1)!) with
-    g of degree ell - 1, determines g from the ell earliest rows
-    (k = ell+1 .. 2*ell), and returns its ascending coefficients.  The
-    choice of six_offset only rescales g; the defaults reproduce the
-    offsets under which the known solutions were first written down.
+    ell = 0 gives the leading coefficient 1/(6**k k!); each deeper level
+    divides by one less factorial and picks up the polynomial
+    ``closed_form(ell)`` in k.
     """
-    if not 1 <= ell <= 4:
-        raise ValueError(f"ell must be in 1..4, got {ell}")
-    if six_offset is None:
-        six_offset = _FIT_SIX_OFFSET[ell]
-    points = []
-    for k in range(ell + 1, 2 * ell + 1):
-        value = coefficient(k, k - ell) * 6 ** (k + six_offset) * factorial(k - ell - 1)
-        points.append((Fraction(k), value))
-    return tuple(newton_coefficients(points))
+    if not 0 <= ell <= ELL_MAX:
+        raise ValueError(f"no closed form for ell={ell}; available: 0..{ELL_MAX}")
+    if k < ell + 1:
+        raise ValueError(f"closed form for ell={ell} starts at k={ell + 1}, got {k}")
+    if ell == 0:
+        return Fraction(1, 6**k * factorial(k))
+    return poly_eval(closed_form(ell), k) / (6**k * factorial(k - ell - 1))
 
 
 def approx_cosecant_exact(rho: RationalLike, k: int) -> Fraction:
@@ -164,13 +101,6 @@ def approx_cosecant_exact(rho: RationalLike, k: int) -> Fraction:
         (leading_closed(k, ell) * x ** (k - ell) for ell in range(4)),
         Fraction(0),
     )
-
-
-def approx_cosecant(rho: RationalLike, k: int, precision: int) -> Decimal:
-    """The four-term approximation as a Decimal with ``precision`` digits."""
-    if precision < 20:
-        raise ValueError(f"precision must be at least 20, got {precision}")
-    return to_decimal(approx_cosecant_exact(rho, k), precision)
 
 
 def beta_ratio_exact(rho: RationalLike, k: int) -> Fraction:
@@ -315,28 +245,3 @@ def c2v_vm1_asymptotic(
             * Decimal(prefactor.numerator)
             / Decimal(prefactor.denominator)
         )
-
-
-def asymptotic_error_report(
-    vs: Iterable[int], precision: int = 40
-) -> list[dict]:
-    """Relative errors of every asymptotic variant against the exact value.
-
-    One dict per v with the exact value and the relative error of the
-    leading term and each bracket variant; used by the report tooling to
-    show that the printed bracket does not converge while the two-term
-    bracket does.
-    """
-    rows = []
-    for v in vs:
-        exact = c2v_vm1_beta(v)
-        with localcontext(hp_context(precision)):
-            exact_dec = to_decimal(exact, precision + 10)
-            entry = {"v": v, "exact": str(exact_dec)}
-            leading = c2v_vm1_asymptotic(v, precision, leading_only=True)
-            entry["leading_rel_err"] = str(+abs(leading / exact_dec - 1))
-            for variant in ASYMPTOTIC_VARIANTS:
-                approx = c2v_vm1_asymptotic(v, precision, variant=variant)
-                entry[f"{variant}_rel_err"] = str(+abs(approx / exact_dec - 1))
-        rows.append(entry)
-    return rows

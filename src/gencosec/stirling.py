@@ -1,22 +1,26 @@
 """Signed Stirling numbers of the first kind and their diagonal polynomials.
 
-Two independent routes to the same integers: the triangular recurrence
-``s(k+1, j) = s(k, j-1) - k * s(k, j)`` and the literal nested-sum formula
-for the near-diagonal entries s_k^(k-j).  On top of these, the diagonals
-fit polynomials: s_k^(k-ell) = (-1)**ell * C(k, ell+1) * r_ell(k) with
-r_ell of degree ell - 1, recovered here by exact interpolation and
-returned as a ``RhoPolynomial`` in the variable k.
+``stirling1`` reads s(k, j) off the rising factorial (rho)_k, whose
+coefficients are the unsigned numbers; the literal nested-sum formula for
+the near-diagonal entries s_k^(k-j) is an independent route to the same
+integers.  On top of these, the diagonals fit polynomials:
+s_k^(k-ell) = (-1)**ell * C(k, ell+1) * r_ell(k) with r_ell of degree
+ell - 1, recovered here by exact interpolation (``fit_polynomial``, which
+``coeffs.closed_form`` shares) and returned as a ``RhoPolynomial`` in the
+variable k.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .exactnum import RhoPolynomial
+from .exactnum import RhoPolynomial, pochhammer_poly
 
 __all__ = [
+    "ELL_MAX",
+    "fit_polynomial",
     "newton_coefficients",
     "r_poly",
     "stirling1",
@@ -26,29 +30,22 @@ __all__ = [
 NESTED_MAX_OFFSET = 6
 NESTED_MAX_K = 14
 
-_rows: list[list[int]] = [[1]]
+#: Deepest diagonal ell that ``r_poly`` and ``coeffs.closed_form`` derive.
+ELL_MAX = 10
 
 
 def stirling1(k: int, j: int) -> int:
-    """Signed Stirling number of the first kind by the recurrence.
+    """Signed Stirling number of the first kind, s(k, j).
 
-    Rows are cached and grown on demand.  Out-of-triangle requests
-    (j < 0 or j > k) return 0, matching the empty-sum convention.
+    (-1)**(k-j) times the coefficient of rho**j in (rho)_k.  Out-of-triangle
+    requests (j < 0 or j > k) return 0, matching the empty-sum convention.
     """
     if k < 0:
         raise ValueError(f"row index must be nonnegative, got {k}")
-    while len(_rows) <= k:
-        n = len(_rows) - 1
-        prev = _rows[-1]
-        row = [0] * (n + 2)
-        for i in range(n + 2):
-            above = prev[i] if i <= n else 0
-            left = prev[i - 1] if i >= 1 else 0
-            row[i] = left - n * above
-        _rows.append(row)
     if j < 0 or j > k:
         return 0
-    return _rows[k][j]
+    unsigned = int(pochhammer_poly(k).coefficient(j))
+    return -unsigned if (k - j) % 2 else unsigned
 
 
 def _nested_sum(depth: int, upper: int) -> int:
@@ -66,8 +63,8 @@ def stirling1_nested(k: int, offset: int) -> int:
         s_k^(k-j) = (-1)**j * sum_{i_j=j}^{k-1} i_j
                     * sum_{i_{j-1}=j-1}^{i_j - 1} i_{j-1} * ... * sum i_1.
 
-    Kept deliberately literal (no memoization) as a cross-check on the
-    recurrence, so it is only allowed in a small range.
+    Kept deliberately literal (no memoization) as a cross-check on
+    ``stirling1``, so it is only allowed in a small range.
     """
     if not 1 <= offset <= NESTED_MAX_OFFSET:
         raise ValueError(f"offset must be in 1..{NESTED_MAX_OFFSET}, got {offset}")
@@ -101,6 +98,24 @@ def newton_coefficients(
     return coeffs
 
 
+def fit_polynomial(
+    value: Callable[[int], Fraction], nodes: range, check_to: int, name: str
+) -> RhoPolynomial:
+    """The polynomial in k through ``value`` at ``nodes``, checked beyond them.
+
+    Interpolates exactly at the integer nodes, so the result has degree
+    below ``len(nodes)``, then compares it with ``value(k)`` at every k from
+    the end of the nodes through ``check_to`` and raises ``RuntimeError``
+    naming ``name`` at the first k where they differ.
+    """
+    points = [(Fraction(k), Fraction(value(k))) for k in nodes]
+    poly = RhoPolynomial(newton_coefficients(points))
+    for k in range(nodes.stop, check_to + 1):
+        if poly(k) != value(k):
+            raise RuntimeError(f"interpolated {name} fails its check at k={k}")
+    return poly
+
+
 VALIDATE_K_MAX = 40
 
 
@@ -112,17 +127,12 @@ def r_poly(ell: int) -> RhoPolynomial:
     nonzero diagonal entry onward) and then checks the defining identity
     for every k up to VALIDATE_K_MAX before returning.
     """
-    if not 1 <= ell <= 10:
-        raise ValueError(f"ell must be in 1..10, got {ell}")
+    if not 1 <= ell <= ELL_MAX:
+        raise ValueError(f"ell must be in 1..{ELL_MAX}, got {ell}")
     sign = -1 if ell % 2 else 1
-    points = []
-    for k in range(ell + 1, 2 * ell + 1):
-        value = Fraction(sign * stirling1(k, k - ell), comb(k, ell + 1))
-        points.append((Fraction(k), value))
-    poly = RhoPolynomial(newton_coefficients(points))
-    for k in range(ell + 1, VALIDATE_K_MAX + 1):
-        if sign * comb(k, ell + 1) * poly(k) != stirling1(k, k - ell):
-            raise RuntimeError(
-                f"interpolated r_{ell} fails the defining identity at k={k}"
-            )
-    return poly
+    return fit_polynomial(
+        lambda k: Fraction(sign * stirling1(k, k - ell), comb(k, ell + 1)),
+        range(ell + 1, 2 * ell + 1),
+        VALIDATE_K_MAX,
+        f"r_{ell}",
+    )

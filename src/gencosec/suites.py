@@ -93,8 +93,9 @@ def suite_oracle(k_max: int = 30) -> list[IdentityReport]:
 
 
 def suite_stirling(k_max: int = NESTED_MAX_K) -> list[IdentityReport]:
-    """Literal nested sums for s_k^(k-j) against the triangle recurrence."""
-    k_max = min(k_max, NESTED_MAX_K)
+    """Literal nested sums for s_k^(k-j) against the Pochhammer coefficients."""
+    if k_max > NESTED_MAX_K:
+        raise ValueError(f"k_max must be at most {NESTED_MAX_K}, got {k_max}")
     reports = []
     for offset in range(1, NESTED_MAX_OFFSET + 1):
         for k in range(offset + 1, k_max + 1):

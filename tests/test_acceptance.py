@@ -20,7 +20,6 @@ from gencosec.exactnum import (
     RhoPolynomial,
     hp_context,
     pi_hp,
-    pochhammer_poly,
     poly_eval,
     to_decimal,
 )
@@ -193,7 +192,7 @@ TABLE4_MISPRINTS = {
 }
 
 
-def test_criterion_04_table4_reproduction():
+def test_criterion_04_table4_reproduction(stirling_rows):
     rows, diffs = load_table4()
     recorded = {d["ell"]: d["derived_poly"] for d in diffs}
     match_ells, mismatch_ells, misprints = [], [], {}
@@ -209,8 +208,9 @@ def test_criterion_04_table4_reproduction():
     )
 
     def identity_holds(coefficients, ell: int, k: int) -> bool:
-        # signed s_k^(k-ell) read off (rho)_k, whose coefficients are unsigned
-        stirling = (-1) ** ell * pochhammer_poly(k).coefficient(k - ell)
+        # s_k^(k-ell) from the recurrence triangle (conftest), which shares
+        # no code with r_poly
+        stirling = stirling_rows[k][k - ell]
         r_value = poly_eval(RhoPolynomial(coefficients), k)
         return stirling == (-1) ** ell * comb(k, ell + 1) * r_value
 

@@ -8,6 +8,8 @@ import sys
 import pytest
 
 from gencosec.cli import TABLE1_ROWS_MAX, main
+from gencosec.coeffs import coefficient
+from gencosec.exactnum import frac_to_str
 from gencosec.partitions import partition_count
 from gencosec.suites import run_suite
 
@@ -134,6 +136,30 @@ def test_coeff_closed_triples(capsys):
     rows = json.loads(out)
     assert {"k": 1, "ell": 0, "value": "1/6"} in rows
     assert all(set(r) == {"k", "ell", "value"} for r in rows)
+    # ell beyond the four hand-written forms is derived, not clamped
+    code, out, _ = run(
+        capsys, "coeff-closed", "--k-max", "12", "--ell-max", "8", "--format", "json"
+    )
+    assert code == 0
+    rows = json.loads(out)
+    assert {r["ell"] for r in rows} == set(range(9))
+    for r in rows:
+        assert r["value"] == frac_to_str(coefficient(r["k"], r["k"] - r["ell"])), r
+
+
+# sha256 of `coeff-closed --k-max 40` output, recorded while the closed
+# forms for ell <= 4 were still written out by hand
+COEFF_CLOSED_DIGESTS = [
+    ((), "c0e9354de6559e68e6d06e6fc10b6ef8ecee1a516fe4711efc0a4ee9be8d0aa2"),
+    (("--format", "json"), "e8c81a92fc050f781f31d01bd2c94646762e6f90f9f6046cb3beae1d68abff77"),
+]
+
+
+@pytest.mark.parametrize(("extra", "digest"), COEFF_CLOSED_DIGESTS)
+def test_coeff_closed_output_bytes(capsys, extra, digest):
+    code, out, _ = run(capsys, "coeff-closed", "--k-max", "40", *extra)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_json_and_exit_code(capsys):
@@ -223,6 +249,11 @@ def test_zeta_output_bytes(capsys, mv, digest):
         (["table3", "--ks", "150", "--rhos", "10"], None),
         (["beta-table", "--ks", "101"], None),
         (["verify", "--suite", "c2v", "--v-max", "102"], None),
+        (["coeff-closed", "--k-max", "12", "--ell-max", "11"], None),
+        (["coeff-closed", "--k-max", "12", "--ell-max", "-1"], None),
+        (["coeff-closed", "--k-max", "-3"], None),
+        (["coeff-closed", "--k-max", "101"], None),
+        (["verify", "--suite", "stirling", "--k-max", "50"], None),
     ],
 )
 def test_bad_input_is_usage_error(capsys, monkeypatch, argv, env_precision):

@@ -3,41 +3,38 @@
 import hashlib
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gencosec.coeffs import (
     ASYMPTOTIC_VARIANTS,
-    approx_cosecant,
     approx_cosecant_exact,
-    asymptotic_error_report,
     beta_alternating,
     beta_ratio,
     beta_ratio_exact,
     c2v_vm1_asymptotic,
     c2v_vm1_beta,
     c2v_vm1_sum,
-    ckkm2_from_stirling,
+    closed_form,
     coefficient,
-    fit_leading,
     leading_closed,
     truncate_decimal_string,
 )
-from gencosec.exactnum import hp_context, pi_hp, poly_eval, to_decimal
+from gencosec.exactnum import RhoPolynomial, hp_context, pi_hp, poly_eval, to_decimal
 from gencosec.genseries import gen_cosecant
 from gencosec.refdata import load_table3
+from gencosec.stirling import ELL_MAX, stirling1
 
 
 class TestLeadingClosed:
     def test_matches_row_coefficients(self):
-        for ell in range(5):
-            for k in range(ell + 1, 21):
-                try:
-                    value = leading_closed(k, ell)
-                except ValueError:
-                    continue
-                assert value == coefficient(k, k - ell), (k, ell)
+        # closed_form(ell) is fitted to rows k <= 3 ell; far beyond that
+        # it must still give every row coefficient
+        for ell in range(ELL_MAX + 1):
+            for k in range(ell + 1, 45):
+                assert leading_closed(k, ell) == coefficient(k, k - ell), (k, ell)
 
     def test_quoted_values(self):
         assert coefficient(4, 1) == Fraction(144, 5443200)
@@ -49,7 +46,32 @@ class TestLeadingClosed:
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            leading_closed(10, 5)
+            leading_closed(20, 11)
+        with pytest.raises(ValueError):
+            leading_closed(5, 5)
+        for ell in (0, ELL_MAX + 1):
+            with pytest.raises(ValueError):
+                closed_form(ell)
+
+
+def ckkm2_from_stirling(k: int) -> Fraction:
+    """C_{k,k-2} assembled from its four contributing partitions.
+
+    Only the partitions {1^k}, {2,1^(k-2)}, {3,1^(k-3)} and {2,2,1^(k-4)}
+    reach the power rho**(k-2); their Pochhammer coefficients are signed
+    Stirling numbers and the signs all cancel to plus:
+
+        C_{k,k-2} = s_k^(k-2)/(6**k k!) + s_{k-1}^(k-2)/(5! 6**(k-2) (k-2)!)
+                  + 1/(7! 6**(k-3) (k-3)!) + 1/(2! (5!)**2 6**(k-4) (k-4)!).
+    """
+    if k < 4:
+        raise ValueError(f"needs k >= 4, got {k}")
+    return (
+        Fraction(stirling1(k, k - 2), 6**k * factorial(k))
+        + Fraction(stirling1(k - 1, k - 2), factorial(5) * 6 ** (k - 2) * factorial(k - 2))
+        + Fraction(1, factorial(7) * 6 ** (k - 3) * factorial(k - 3))
+        + Fraction(1, 2 * factorial(5) ** 2 * 6 ** (k - 4) * factorial(k - 4))
+    )
 
 
 def test_ckkm2_four_partition_assembly():
@@ -59,25 +81,31 @@ def test_ckkm2_four_partition_assembly():
         ckkm2_from_stirling(3)
 
 
+# The printed closed forms C_{k,k-ell} = num(k) / (den * 6**(k+off) * (k-ell-1)!)
+# for ell = 1..4, as (ascending numerator coefficients, den, off).
+PRINTED_CLOSED_FORMS = {
+    1: ([1], 5, 0),
+    2: ([17, 21], 175, 1),
+    3: ([0, Fraction(17, 7), 1], 125, 1),
+    4: ([Fraction(-33510, 539), Fraction(867, 49), Fraction(306, 7), 9], 625, 3),
+}
+
+
 class TestFitLeading:
     def test_reproduces_quoted_solution(self):
-        # the printed fit for ell = 3: a = 6/125, b = 102/875, c = 0
-        assert fit_leading(3) == (0, Fraction(102, 875), Fraction(6, 125))
+        # the printed fit for ell = 3 over 6**(k+2) (k-4)!: a = 6/125,
+        # b = 102/875, c = 0
+        assert closed_form(3).scale(6**2).coefficients == (
+            0,
+            Fraction(102, 875),
+            Fraction(6, 125),
+        )
 
     def test_fit_agrees_with_closed_form(self):
-        for ell in range(1, 5):
-            coeffs = fit_leading(ell)
-            for k in range(ell + 1, 15):
-                g = sum(
-                    (c * Fraction(k) ** i for i, c in enumerate(coeffs)), Fraction(0)
-                )
-                # undo the fitted normalization to recover C_{k,k-ell}
-                import math
-
-                denom = 6 ** (k + {1: 0, 2: 1, 3: 2, 4: 4}[ell]) * math.factorial(
-                    k - ell - 1
-                )
-                assert Fraction(g, 1) / denom == leading_closed(k, ell), (ell, k)
+        for ell, (numerator, den, off) in PRINTED_CLOSED_FORMS.items():
+            printed = RhoPolynomial(numerator).scale(Fraction(1, den * 6**off))
+            assert closed_form(ell) == printed, ell
+            assert closed_form(ell).degree == ell - 1
 
 
 class TestApproxAndRatio:
@@ -100,18 +128,11 @@ class TestApproxAndRatio:
         assert beta_ratio(10, 6) == "0.998904"
         assert beta_ratio(1000, 15) == "0.999999"
 
-    def test_decimal_wrapper(self):
-        got = approx_cosecant(20, 6, 30)
-        want = to_decimal(approx_cosecant_exact(20, 6), 30)
-        assert got == want
-
     def test_preconditions(self):
         with pytest.raises(ValueError):
             beta_ratio_exact(Fraction(1, 2), 6)
         with pytest.raises(ValueError):
             beta_ratio_exact(10, 3)
-        with pytest.raises(ValueError):
-            approx_cosecant(10, 6, 5)
 
 
 class TestTruncation:
@@ -210,29 +231,33 @@ ASYMPTOTIC_DIGESTS = [
 ]
 
 
+def rel_err(v: int, **kwargs) -> Decimal:
+    """Relative error of c2v_vm1_asymptotic(v, 40, **kwargs) against the exact value."""
+    with localcontext(hp_context(40)):
+        exact = to_decimal(c2v_vm1_beta(v), 50)
+        return +abs(c2v_vm1_asymptotic(v, 40, **kwargs) / exact - 1)
+
+
 class TestAsymptotic:
     def test_monotone_error_at_fixed_parity(self):
-        rows = asymptotic_error_report([4, 8, 16, 32])
-        errs = [Decimal(r["printed_rel_err"]) for r in rows]
+        errs = [rel_err(v) for v in (4, 8, 16, 32)]
         assert all(a >= b for a, b in zip(errs, errs[1:]))
 
     def test_two_term_variant_converges(self):
-        rows = asymptotic_error_report([8, 16, 32, 64])
-        errs = [Decimal(r["two_term_rel_err"]) for r in rows]
+        errs = [rel_err(v, variant="two_term") for v in (8, 16, 32, 64)]
         # quarters (or better) per doubling
         for a, b in zip(errs, errs[1:]):
             assert b < a / 3
         # and beats the printed bracket by orders of magnitude
-        assert errs[-1] < Decimal(rows[-1]["printed_rel_err"]) / 1000
+        assert errs[-1] < rel_err(64) / 1000
 
     def test_printed_bracket_plateaus(self):
         # the floor term keeps the printed form away from the true value:
         # its relative error stays above 0.3 long after the leading term
         # alone is below 0.01
-        rows = asymptotic_error_report([40, 80])
-        for r in rows:
-            assert Decimal(r["printed_rel_err"]) > Decimal("0.3")
-            assert Decimal(r["leading_rel_err"]) < Decimal("0.01")
+        for v in (40, 80):
+            assert rel_err(v) > Decimal("0.3")
+            assert rel_err(v, leading_only=True) < Decimal("0.01")
 
     def test_v2_has_floor_contribution(self):
         full = c2v_vm1_asymptotic(2, 30)

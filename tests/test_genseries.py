@@ -111,6 +111,23 @@ def test_three_routes_agree(spec):
             assert row == literal_partition_sum(k, spec), k
 
 
+@pytest.mark.parametrize("family", ["cosecant", "secant"])
+def test_rows_match_sympy_series(family):
+    # an oracle outside the package: sympy's Taylor series of the
+    # generating function, with rho kept as a symbol
+    sympy = pytest.importorskip("sympy")
+    z, rho = sympy.symbols("z rho")
+    if family == "cosecant":
+        base, build = z / sympy.sin(z), gen_cosecant
+    else:
+        base, build = sympy.sec(z), gen_secant
+    series = sympy.series(base**rho, z, 0, 26).removeO()
+    for k in range(13):
+        coeffs = sympy.Poly(sympy.expand(series.coeff(z, 2 * k)), rho).all_coeffs()
+        want = RhoPolynomial(Fraction(int(c.p), int(c.q)) for c in reversed(coeffs))
+        assert build(k) == want, (family, k)
+
+
 small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=9)
 
 

