@@ -29,7 +29,7 @@ from .genseries import (
     partition_transform,
     zeta_even_from_cosecant,
 )
-from .partitions import PartitionMultiset, enumerate_partitions, partition_count
+from .partitions import enumerate_partitions, partition_count
 from .stirling import r_poly, stirling1, stirling1_nested
 from .symzeta import (
     IdentityReport,
@@ -47,7 +47,6 @@ __all__ = [
     "COSECANT",
     "IdentityReport",
     "OracleStream",
-    "PartitionMultiset",
     "RhoPolynomial",
     "SECANT",
     "bernoulli_from_cosecant",

@@ -15,6 +15,7 @@ import itertools
 import json
 import os
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from .coeffs import beta_ratio, leading_closed
@@ -23,7 +24,7 @@ from .genseries import COSECANT, OracleStream, gen_cosecant, gen_secant
 from .partitions import enumerate_partitions, partition_count
 from .refdata import load_table2, load_table3
 from .stirling import ELL_MAX, r_poly
-from .suites import SUITES, run_suite, suite_all
+from .suites import SUITES, suite_all
 from .symzeta import riemann_limit
 
 __all__ = ["main"]
@@ -45,17 +46,6 @@ ROW_K_MAX = 100
 TABLE1_ROWS_MAX = 10**5
 
 
-def _default_precision() -> int:
-    raw = os.environ.get(PRECISION_ENV)
-    if raw is None:
-        return 50
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise SystemExit(f"{PRECISION_ENV} must be an integer, got {raw!r}") from exc
-    return value
-
-
 def _write_json(value, out) -> None:
     """``json.dump(value, out, indent=2)`` and a newline, in batches.
 
@@ -72,7 +62,11 @@ def _write_json(value, out) -> None:
 
 def _emit(rows: list[dict], columns: list[str], args) -> None:
     """Render rows in the selected format and write them out."""
-    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
+    try:
+        sink = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from None
+    with sink as out:
         if args.format == "json":
             _write_json(rows, out)
         elif args.format == "csv":
@@ -108,15 +102,15 @@ def cmd_table1(args) -> int:
             f"--k {args.k} has {count} partitions; table1 prints at most {TABLE1_ROWS_MAX}"
         )
     rows = []
-    for pm in enumerate_partitions(args.k):
-        mults = {str(part): mult for part, mult in sorted(pm.counts)}
+    for parts in enumerate_partitions(args.k):
+        mults = sorted(Counter(parts).items())
         rows.append(
             {
-                "partition": str(pm),
-                "multiplicities": " ".join(f"{p}:{m}" for p, m in sorted(pm.counts))
-                if args.format != "json"
-                else mults,
-                "length": pm.length,
+                "partition": "{" + ",".join(map(str, parts)) + "}",
+                "multiplicities": {str(p): m for p, m in mults}
+                if args.format == "json"
+                else " ".join(f"{p}:{m}" for p, m in mults),
+                "length": len(parts),
             }
         )
     _emit(rows, ["partition", "multiplicities", "length"], args)
@@ -207,15 +201,18 @@ def cmd_table4(args) -> int:
 
 def _cmd_series(args, build) -> int:
     _check_row_order("--k", args.k)
-    poly = build(args.k)
     if args.rho is None:
-        rows = [{"k": args.k, "coefficients": _row_coeff_strings(poly)}]
+        rows = [{"k": args.k, "coefficients": _row_coeff_strings(build(args.k))}]
         _emit(rows, ["k", "coefficients"], args)
-    else:
+        return 0
+    # parsed before the row is built, so a bad rho is refused at once
+    try:
         rho = Fraction(args.rho)
-        value = poly_eval(poly, rho)
-        rows = [{"k": args.k, "rho": str(rho), "value": frac_to_str(value)}]
-        _emit(rows, ["k", "rho", "value"], args)
+    except ZeroDivisionError:
+        raise ValueError(f"--rho {args.rho} has a zero denominator") from None
+    value = poly_eval(build(args.k), rho)
+    rows = [{"k": args.k, "rho": str(rho), "value": frac_to_str(value)}]
+    _emit(rows, ["k", "rho", "value"], args)
     return 0
 
 
@@ -257,7 +254,7 @@ def cmd_verify(args) -> int:
         if not 1 <= value <= limit:
             raise ValueError(f"{flag} must be in 1..{limit}, got {value}")
         kwargs[name] = value
-    reports = run_suite(args.suite, **kwargs)
+    reports = suite(**kwargs)
     if args.format == "json":
         rows = [r.as_dict() for r in reports]
     else:
@@ -374,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("zeta", help="finite-v estimate of zeta(2m) with deviation bracket")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--v", type=int, required=True)
-    p.add_argument("--precision", type=int, default=_default_precision())
+    # a string default is converted by ``type`` only when zeta runs
+    p.add_argument("--precision", type=int, default=os.environ.get(PRECISION_ENV, "50"))
     _add_common(p)
     p.set_defaults(func=cmd_zeta)
 

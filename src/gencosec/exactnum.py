@@ -10,8 +10,12 @@ guard digits internally; nothing in this package touches binary floats.
 with Fraction coefficients, used for quantities that are polynomials in
 the order rho of a series power.  It is the package's only polynomial
 type: polynomials in the order k (the Stirling ratios r_ell, the
-closed-form numerators) use it too, and ``poly_eval`` is the one Horner
-loop.
+closed-form numerators) use it too.  It supports exactly what the
+package needs: coefficient access, ``==``, ``+``, ``scale`` by a
+rational, ``times_rho`` and evaluation, where ``poly_eval`` is the one
+Horner loop.  There is no general product: the one polynomial product
+the package forms, the rising factorial (rho)_n, is ``pochhammer_poly``,
+built on integers one factor (rho + m) at a time.
 """
 
 from __future__ import annotations
@@ -111,23 +115,6 @@ class RhoPolynomial:
             out[i] += c
         return RhoPolynomial(out)
 
-    def __sub__(self, other: "RhoPolynomial") -> "RhoPolynomial":
-        if not isinstance(other, RhoPolynomial):
-            return NotImplemented
-        return self + other.scale(-1)
-
-    def __mul__(self, other: "RhoPolynomial") -> "RhoPolynomial":
-        if not isinstance(other, RhoPolynomial):
-            return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return RhoPolynomial(out)
-
     def scale(self, factor: RationalLike) -> "RhoPolynomial":
         f = Fraction(factor)
         return RhoPolynomial([c * f for c in self._coeffs])
@@ -141,13 +128,16 @@ class RhoPolynomial:
     def __call__(self, rho: RationalLike) -> Fraction:
         return poly_eval(self, rho)
 
-    def is_zero(self) -> bool:
-        return self._coeffs == (Fraction(0),)
-
     def __repr__(self) -> str:
         return f"RhoPolynomial({[str(c) for c in self._coeffs]})"
 
     def __str__(self) -> str:
+        """Readable sum of terms, such as ``1/2 + 3*rho^2``.
+
+        The variable is always printed as ``rho``, also for the polynomials
+        in the order k (``r_poly``, ``closed_form``), whose terms must be
+        read with k in place of rho.
+        """
         parts = []
         for i, c in enumerate(self._coeffs):
             if c == 0 and not (i == 0 and len(self._coeffs) == 1):
@@ -175,14 +165,17 @@ def pochhammer_poly(n: int) -> RhoPolynomial:
     """Rising factorial (rho)_n = rho (rho+1) ... (rho+n-1) as a polynomial.
 
     (rho)_0 is the constant 1.  The coefficient of rho**j is the unsigned
-    Stirling number of the first kind with arguments (n, j).
+    Stirling number of the first kind with arguments (n, j).  The product
+    is formed on integers, one factor (rho + m) at a time, so any order
+    works without recursion.
     """
     if n < 0:
         raise ValueError(f"order must be nonnegative, got {n}")
-    if n == 0:
-        return RhoPolynomial.one()
-    prev = pochhammer_poly(n - 1)
-    return prev * RhoPolynomial([n - 1, 1])
+    coeffs = [1]
+    for m in range(n):
+        # times (rho + m): the new rho**i coefficient is m c_i + c_{i-1}
+        coeffs = [m * c + lower for c, lower in zip(coeffs + [0], [0] + coeffs)]
+    return RhoPolynomial(coeffs)
 
 
 # ---------------------------------------------------------------------------

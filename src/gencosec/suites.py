@@ -1,9 +1,13 @@
 """Named verification suites: every identity as a stream of reports.
 
 Each suite function returns a deterministically ordered list of
-IdentityReport covering one family of exact checks.  The CLI ``verify``
-subcommand and the acceptance tests both run these, so a passing suite
-here is the single source of truth for "the identities hold".
+IdentityReport covering one family of exact checks; ``SUITES`` maps the
+CLI names to them and ``suite_all`` runs every one in name order.  Each
+report is built by ``IdentityReport.compare(name, params, left, right)``,
+except in ``suite_c2v``, whose ``equal`` means that all three routes
+agree.  The CLI ``verify`` subcommand calls these functions directly, and
+the acceptance tests run them too, so a passing suite here is the single
+source of truth for "the identities hold".
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from .symzeta import IdentityReport, hurwitz_identity, identity_nine, sym_high_p
 
 __all__ = [
     "SUITES",
-    "run_suite",
     "suite_all",
     "suite_c2v",
     "suite_hurwitz",
@@ -49,26 +52,10 @@ def suite_rho_identities(k_max: int = 30) -> list[IdentityReport]:
         row = gen_cosecant(k)
         left = poly_eval(row, -1)
         right = Fraction((-1) ** k, factorial(2 * k + 1))
-        reports.append(
-            IdentityReport(
-                name="rho_minus_one",
-                params={"k": k},
-                left=str(left),
-                right=str(right),
-                equal=left == right,
-            )
-        )
+        reports.append(IdentityReport.compare("rho_minus_one", {"k": k}, left, right))
         left = poly_eval(row, 2)
         right = (2 * k - 1) * cosecant_number(k) / (1 - Fraction(2) ** (1 - 2 * k))
-        reports.append(
-            IdentityReport(
-                name="rho_two",
-                params={"k": k},
-                left=str(left),
-                right=str(right),
-                equal=left == right,
-            )
-        )
+        reports.append(IdentityReport.compare("rho_two", {"k": k}, left, right))
     return reports
 
 
@@ -78,16 +65,9 @@ def suite_oracle(k_max: int = 30) -> list[IdentityReport]:
     for spec, build in ((COSECANT, gen_cosecant), (SECANT, gen_secant)):
         oracle = OracleStream(spec)
         for k in range(k_max + 1):
-            direct = build(k)
-            other = oracle.row(k)
+            params = {"series": spec.name, "k": k}
             reports.append(
-                IdentityReport(
-                    name="oracle_equivalence",
-                    params={"series": spec.name, "k": k},
-                    left=str(direct),
-                    right=str(other),
-                    equal=direct == other,
-                )
+                IdentityReport.compare("oracle_equivalence", params, build(k), oracle.row(k))
             )
     return reports
 
@@ -99,15 +79,12 @@ def suite_stirling(k_max: int = NESTED_MAX_K) -> list[IdentityReport]:
     reports = []
     for offset in range(1, NESTED_MAX_OFFSET + 1):
         for k in range(offset + 1, k_max + 1):
-            left = stirling1_nested(k, offset)
-            right = stirling1(k, k - offset)
             reports.append(
-                IdentityReport(
-                    name="stirling_nested",
-                    params={"k": k, "offset": offset},
-                    left=str(left),
-                    right=str(right),
-                    equal=left == right,
+                IdentityReport.compare(
+                    "stirling_nested",
+                    {"k": k, "offset": offset},
+                    stirling1_nested(k, offset),
+                    stirling1(k, k - offset),
                 )
             )
     return reports
@@ -121,15 +98,12 @@ def suite_nine(v_max: int = 15) -> list[IdentityReport]:
             reports.append(identity_nine(v, i))
     for v in range(1, v_max + 1):
         for ell in range(1, min(v, 6) + 1):
-            left = sym_high_partition(v, ell)
-            right = Fraction(sym_poly(v, v - ell))
             reports.append(
-                IdentityReport(
-                    name="sym_high",
-                    params={"v": v, "ell": ell},
-                    left=str(left),
-                    right=str(right),
-                    equal=left == right,
+                IdentityReport.compare(
+                    "sym_high",
+                    {"v": v, "ell": ell},
+                    sym_high_partition(v, ell),
+                    Fraction(sym_poly(v, v - ell)),
                 )
             )
     return reports
@@ -181,12 +155,3 @@ def suite_all() -> list[IdentityReport]:
     for name in sorted(SUITES):
         reports.extend(SUITES[name]())
     return reports
-
-
-def run_suite(name: str, **kwargs) -> list[IdentityReport]:
-    """Run one named suite ("all" for every suite), deterministic order."""
-    if name == "all":
-        return suite_all()
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choices: all, {', '.join(sorted(SUITES))}")
-    return SUITES[name](**kwargs)

@@ -17,7 +17,7 @@ through ``zeta_even_factor``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
@@ -111,12 +111,17 @@ class IdentityReport:
     """Outcome of one exact identity instance, CLI- and JSON-friendly."""
 
     name: str
-    params: dict = field(default_factory=dict)
-    left: str = ""
-    right: str = ""
-    equal: bool = False
+    params: dict
+    left: str
+    right: str
+    equal: bool
     asserted: bool = True
     note: str = ""
+
+    @classmethod
+    def compare(cls, name: str, params: dict, left, right, **extra) -> "IdentityReport":
+        """The report that ``left == right``, with both sides as strings."""
+        return cls(name, params, str(left), str(right), left == right, **extra)
 
     def as_dict(self) -> dict:
         return {
@@ -147,13 +152,7 @@ def identity_nine(v: int, i: int) -> IdentityReport:
     for t in range(2 * v - 2 * i, 2 * v):
         ratio_den *= t
     right = Fraction(4**i, ratio_den) * sym_poly(v, i)
-    return IdentityReport(
-        name="nine",
-        params={"v": v, "i": i},
-        left=str(left),
-        right=str(right),
-        equal=left == right,
-    )
+    return IdentityReport.compare("nine", {"v": v, "i": i}, left, right)
 
 
 def power_sum_from_ratios(ratios: Sequence):
@@ -190,19 +189,14 @@ def hurwitz_identity(v: int, m: int) -> IdentityReport:
         raise ValueError(f"needs m >= 1, got {m}")
     if v < m + 1:
         raise ValueError(f"needs v >= m+1 to form the ratios, got v={v}, m={m}")
-    left = harmonic_power_sum(v, 2 * m)
-    right = _hurwitz_rhs(v, m)
     boundary = v == m + 1
-    return IdentityReport(
-        name="hurwitz",
-        params={"v": v, "m": m},
-        left=str(left),
-        right=str(right),
-        equal=left == right,
+    return IdentityReport.compare(
+        "hurwitz",
+        {"v": v, "m": m},
+        harmonic_power_sum(v, 2 * m),
+        _hurwitz_rhs(v, m),
         asserted=not boundary,
-        note="below stated validity (v = m+1); reported, not asserted"
-        if boundary
-        else "",
+        note="below stated validity (v = m+1); reported, not asserted" if boundary else "",
     )
 
 

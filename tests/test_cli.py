@@ -7,11 +7,12 @@ import sys
 
 import pytest
 
+from gencosec import cli
 from gencosec.cli import TABLE1_ROWS_MAX, main
 from gencosec.coeffs import coefficient
 from gencosec.exactnum import frac_to_str
 from gencosec.partitions import partition_count
-from gencosec.suites import run_suite
+from gencosec.suites import suite_all
 
 
 def run(capsys, *argv):
@@ -130,6 +131,29 @@ def test_row_output_bytes(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of stdout, recorded while table1 still went through a validated
+# partition type and verify dispatched a second time by suite name
+PRODUCER_DIGESTS = [
+    (("table1", "--k", "7", "--format", "json"),
+     "949215e2c4abdc0d02b3c80232c942935ed4e4f663fa7426f758470c917d594b"),
+    (("table1", "--k", "7", "--format", "csv"),
+     "47595a72d1172198ea10a1ed388e65c461c875dac44a76e9fef7f9286093d27a"),
+    (("table1", "--k", "0"),
+     "22967e5f2593709eef2e2ba114518223d7ebf30c196ea90e546ded4d9608503a"),
+    (("verify", "--suite", "all", "--format", "text"),
+     "1964f614166efce568e95909861edf95aec87585325dbb24299f5241b4c5f414"),
+    (("verify", "--suite", "hurwitz", "--v-max", "7", "--format", "csv"),
+     "5b83bfbda32b36b3abfafdfac6e5cd3b2c98cea46c8e32ca8a4b379aba71ab80"),
+]
+
+
+@pytest.mark.parametrize(("argv", "digest"), PRODUCER_DIGESTS)
+def test_producer_output_bytes(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_coeff_closed_triples(capsys):
     code, out, _ = run(capsys, "coeff-closed", "--k-max", "3", "--format", "json")
     assert code == 0
@@ -174,7 +198,7 @@ def test_verify_json_is_one_indented_document(capsys):
     # about 20k encoder pieces, so the output is written in several batches
     code, out, _ = run(capsys, "verify", "--suite", "all")
     assert code == 0
-    expected = [r.as_dict() for r in run_suite("all")]
+    expected = [r.as_dict() for r in suite_all()]
     assert out == json.dumps(expected, indent=2) + "\n"
 
 
@@ -254,6 +278,8 @@ def test_zeta_output_bytes(capsys, mv, digest):
         (["coeff-closed", "--k-max", "-3"], None),
         (["coeff-closed", "--k-max", "101"], None),
         (["verify", "--suite", "stirling", "--k-max", "50"], None),
+        (["cosec", "--k", "3", "--rho", "1/0"], None),
+        (["secant", "--k", "2", "--rho=5/0"], None),
     ],
 )
 def test_bad_input_is_usage_error(capsys, monkeypatch, argv, env_precision):
@@ -275,6 +301,31 @@ def test_precision_env_default(capsys, monkeypatch):
     assert json.loads(out)[0]["precision"] == 33
 
 
+def test_bad_rho_is_refused_before_the_row_is_built(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "gen_cosecant", lambda k: pytest.fail("row was built"))
+    with pytest.raises(SystemExit) as exc:
+        main(["cosec", "--k", "100", "--rho", "1/0"])
+    assert exc.value.code == 2
+
+
+def test_precision_env_is_read_only_by_zeta(capsys, monkeypatch):
+    monkeypatch.setenv("GENCOSEC_PRECISION", "abc")
+    code, out, _ = run(capsys, "cosec", "--k", "2")
+    assert code == 0
+    assert "1/180" in out
+
+
+def test_bad_precision_env_is_usage_error_for_zeta(capsys, monkeypatch):
+    monkeypatch.setenv("GENCOSEC_PRECISION", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["zeta", "--m", "1", "--v", "10"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--precision" in errors[0]
+
+
 def test_table1_limit_admits_k45():
     assert partition_count(45) <= TABLE1_ROWS_MAX < partition_count(46)
 
@@ -285,6 +336,16 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert "1/180" in target.read_text()
+
+
+def test_out_into_missing_directory_is_usage_error(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["cosec", "--k", "2", "--out", str(tmp_path / "missing" / "row.txt")])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].startswith("gencosec: error: ")
 
 
 def test_missing_subcommand_is_usage_error():

@@ -278,6 +278,33 @@ class TestAsymptotic:
             value = c2v_vm1_asymptotic(int(v), 50, variant=variant)
         assert hashlib.sha256(str(value).encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("v", [2, 7, 1000])
+    def test_against_mpmath(self, v):
+        # every bracket at 200 digits, with beta(v + 1/2) from the digamma
+        # function: beta(x) = (psi((x+1)/2) - psi(x/2)) / 2
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(220):
+            x = mpmath.mpf(2 * v + 1) / 2
+            beta = (mpmath.digamma((x + 1) / 2) - mpmath.digamma(x / 2)) / 2
+            sign = 1 if (v - 1) % 2 == 0 else -1
+            half_beta = (1 + mpmath.mpf(3) / (4 * v)) * sign * beta / 2
+            rest = mpmath.mpf(sign * (v // 2)) / (2 * v) - mpmath.mpf(5 * (1 - (-1) ** v)) / (8 * v)
+            brackets = {
+                "printed": mpmath.pi / 4 + half_beta + rest,
+                "beta_flipped": mpmath.pi / 4 - half_beta + rest,
+                "two_term": mpmath.pi / 4 * (1 + mpmath.mpf(1) / (4 * v)),
+                "leading_only": mpmath.pi / 4,
+            }
+            prefactor = mpmath.binomial(2 * v - 1, v) / mpmath.mpf(2) ** (2 * v - 2)
+            for variant, bracket in brackets.items():
+                if variant == "leading_only":
+                    value = c2v_vm1_asymptotic(v, 200, leading_only=True)
+                else:
+                    value = c2v_vm1_asymptotic(v, 200, variant=variant)
+                want = bracket * prefactor
+                got = mpmath.mpf(str(value))
+                assert abs(got - want) < mpmath.mpf(10) ** -195 * abs(want), variant
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             c2v_vm1_asymptotic(1, 30)

@@ -1,5 +1,6 @@
 """Series rows: partition transform, exp-log oracle, and consequences."""
 
+from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import comb, factorial
@@ -90,11 +91,11 @@ class TestOracle:
 def literal_partition_sum(k, spec):
     """The paper's sum with one term per partition of k, as written."""
     acc = [Fraction(0)] * (k + 1)
-    for pm in enumerate_partitions(k):
-        term = Fraction((-1) ** (k + pm.length))
-        for part, mult in pm.counts:
+    for parts in enumerate_partitions(k):
+        term = Fraction((-1) ** (k + len(parts)))
+        for part, mult in Counter(parts).items():
             term *= spec.inner_value(part) ** mult / factorial(mult)
-        for j, c in enumerate(pochhammer_poly(pm.length).coefficients):
+        for j, c in enumerate(pochhammer_poly(len(parts)).coefficients):
             acc[j] += c * term
     return RhoPolynomial(acc)
 
@@ -183,6 +184,15 @@ class TestZetaEven:
             lower = Decimal(60) ** -19 / 19
             upper = Decimal(59) ** -19 / 19
         assert lower < abs(got - approx) < upper
+
+    @pytest.mark.parametrize("precision", [50, 1000])
+    @pytest.mark.parametrize("k", [1, 5, 30])
+    def test_against_mpmath(self, k, precision):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(precision + 20):
+            want = mpmath.zeta(2 * k)
+            got = mpmath.mpf(str(zeta_even_from_cosecant(k, precision)))
+            assert abs(got - want) < mpmath.mpf(10) ** (1 - precision) * want
 
     def test_preconditions(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gencosec.exactnum import pochhammer_poly
+from gencosec.exactnum import pochhammer_poly, poly_eval
 from gencosec.refdata import load_table4
 from gencosec.stirling import (
     NESTED_MAX_K,
@@ -40,6 +40,17 @@ class TestTriangle:
     @settings(deadline=None, max_examples=29)
     def test_row_sum_vanishes(self, k):
         assert sum(stirling1(k, j) for j in range(k + 1)) == 0
+
+    def test_deep_cold_order(self):
+        # (rho)_1200 from an empty cache: the product once recursed once per
+        # order and raised RecursionError here.  Each check is an identity
+        # that shares no code with the product loop.
+        pochhammer_poly.cache_clear()
+        poly = pochhammer_poly(1200)
+        assert poly_eval(poly, 1) == factorial(1200)
+        assert poly_eval(poly, 2) == factorial(1201)
+        assert stirling1(1200, 1) == -factorial(1199)
+        assert stirling1(1200, 1200) == 1
 
     def test_pochhammer_coefficients_are_unsigned_stirling(self, stirling_rows):
         # stirling1 reads the Pochhammer coefficients; the reference is the

@@ -1,5 +1,6 @@
 """Symmetric polynomials, the row identity, and zeta ratio identities."""
 
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from math import factorial
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from gencosec.exactnum import to_decimal
 from gencosec.partitions import enumerate_partitions
 from gencosec.symzeta import (
+    IdentityReport,
     _hurwitz_rhs,
     harmonic_power_sum,
     hurwitz_identity,
@@ -107,13 +109,13 @@ def literal_partition_sum(v, ell):
     with N the partition length and T_m = sum_{j<v} j**(-2m).
     """
     total = Fraction(0)
-    for pm in enumerate_partitions(ell - 1):
+    for parts in enumerate_partitions(ell - 1):
         term = Fraction(1)
-        for part, mult in pm.counts:
+        for part, mult in Counter(parts).items():
             t = sum((Fraction(1, j ** (2 * part)) for j in range(1, v)), Fraction(0))
             term *= t**mult
             term /= factorial(mult) * part**mult
-        if (ell - 1 - pm.length) % 2:
+        if (ell - 1 - len(parts)) % 2:
             term = -term
         total += term
     return factorial(v - 1) ** 2 * total
@@ -160,6 +162,14 @@ class TestPowerSums:
         assert isinstance(got, Fraction)
         assert got == 1 + Fraction(1, 4) + Fraction(1, 9) + Fraction(1, 16) + Fraction(1, 25)
         assert harmonic_power_sum(6, 6) == sum(Fraction(1, j**6) for j in range(1, 6))
+
+
+def test_compare_reports_both_sides_and_their_equality():
+    report = IdentityReport.compare("demo", {"k": 1}, Fraction(1, 2), Fraction(2, 4))
+    assert (report.left, report.right, report.equal, report.asserted) == ("1/2", "1/2", True, True)
+    report = IdentityReport.compare("demo", {}, 1, Fraction(3, 2), asserted=False, note="n")
+    assert (report.left, report.right, report.equal) == ("1", "3/2", False)
+    assert (report.asserted, report.note) == (False, "n")
 
 
 class TestIdentityNine:
