@@ -35,6 +35,16 @@ PRECISION_ENV = "GENCOSEC_PRECISION"
 #: zeta(2m) factor builds cosecant row m, which grows steeply past it.
 ZETA_M_MAX = 30
 
+#: Largest ``zeta --v``.  The exact power sum dominates, and its cost
+#: grows like (m v)**2: at the caps (m = 30, v = 5000) a run takes 5.2 s
+#: at precision 2000 and 5.9 s at ZETA_PRECISION_MAX; at m = 5 it takes
+#: 0.4 s (2-vCPU x86-64, CPython 3.11).
+ZETA_V_MAX = 5000
+
+#: Largest ``zeta --precision``.  pi and the Decimal steps grow like P**2:
+#: m = 5, v = 3000 takes 0.56 s at this cap (2.75 s at P = 50000).
+ZETA_PRECISION_MAX = 20000
+
 #: Deepest row order accepted by ``cosec``/``secant --k``, ``table2 --k-max``,
 #: ``table3 --ks``, ``coeff-closed --k-max`` and ``verify --k-max``
 #: (``verify --v-max`` one more).  One row at this order takes about 2 s,
@@ -276,8 +286,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_zeta(args) -> int:
-    if args.m > ZETA_M_MAX:
-        raise ValueError(f"--m must be at most {ZETA_M_MAX}, got {args.m}")
+    for flag, value, limit in (
+        ("--m", args.m, ZETA_M_MAX),
+        ("--v", args.v, ZETA_V_MAX),
+        ("--precision", args.precision, ZETA_PRECISION_MAX),
+    ):
+        if value > limit:
+            raise ValueError(f"{flag} must be at most {limit}, got {value}")
     result = riemann_limit(args.m, args.v, args.precision)
     within = result.bounds[0] < result.deviation < result.bounds[1]
     rows = [
@@ -383,6 +398,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # refuse a missing --out directory before any work; the file itself
+        # is opened, and so truncated, only by _emit
+        if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise ValueError(f"cannot write --out {args.out}: no such directory")
         return args.func(args)
     except ValueError as exc:
         parser.error(str(exc))

@@ -14,10 +14,11 @@ closed and asymptotic forms (``c2v_vm1_*``).
 
 from __future__ import annotations
 
-from decimal import Decimal, localcontext
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_FLOOR, Inexact
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Union
 
 from .exactnum import RhoPolynomial, hp_context, pi_hp, poly_eval, to_decimal
@@ -159,34 +160,91 @@ def c2v_vm1_sum(v: int) -> Fraction:
     return Fraction(2 ** (2 - 2 * v)) * total
 
 
+# Exact integer Decimal arithmetic: no integer result is rounded at
+# MAX_PREC, and a step that would round raises Inexact instead.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+_EXACT.traps[Inexact] = True
+_HALF, _TWO = Decimal("0.5"), Decimal(2)
+
+
+def _round_scaled(scaled: Decimal, width: int, context: Context) -> Decimal | None:
+    """t rounded in ``context``, given only that t * 10**width is in [scaled, scaled+2).
+
+    The result is ``context.divide`` applied to t's numerator and
+    denominator.  None when the interval holds a half-way point or a
+    number of at most ``context.prec`` digits (the two ends may round
+    differently, or t may be exact and printed short).  Runs in ``_EXACT``.
+    """
+    drop = scaled.adjusted() + 1 - context.prec
+    head = scaled.scaleb(-drop)
+    digits = head.to_integral_value(ROUND_FLOOR)
+    low = head - digits
+    high = low + _TWO.scaleb(-drop)
+    if low == 0 or high > 1 or low <= _HALF < high:
+        return None
+    if low > _HALF:
+        digits += 1
+    return digits.scaleb(drop - width, context)
+
+
+def _beta_term(a: int, b: int, n: int) -> Fraction:
+    """t_n = n! / (2**(n+1) (x)_{n+1}) exactly, for x = a/b."""
+    return Fraction(
+        factorial(n) * b ** (n + 1),
+        2 ** (n + 1) * prod(range(a, a + (n + 1) * b, b)),
+    )
+
+
 def beta_alternating(x: Fraction, precision: int) -> Decimal:
     """Dirichlet-style alternating sum beta(x) = sum_{j>=0} (-1)**j / (x+j).
 
     Summing the alternating series directly needs about 10**precision
     terms, so this uses the equivalent all-positive expansion
 
-        beta(x) = sum_{n>=0} n! / (2**(n+1) * (x)_{n+1}),
+        beta(x) = sum_{n>=0} t_n,  t_n = n! / (2**(n+1) * (x)_{n+1}),
 
-    whose term ratio (n+1)/(2(x+n+1)) stays below 1/2, giving a tail
-    bounded by the last included term and roughly 3.3 terms per digit.
-    Terms are carried exactly and rounded only on accumulation.
+    whose term ratio t_n/t_{n-1} = n/(2(x+n)) stays below 1/2, giving a
+    tail bounded by the last included term and roughly 3.3 terms per
+    digit.  Terms down to 10**(2-prec) are summed, each rounded to prec =
+    precision + 10 digits, exactly as if divided out from the exact term.
+
+    The terms are not carried exactly.  With x = a/b and W = 2 prec + 30,
+    the integer T_n = floor(T_{n-1} n b / (2 (a + n b))), starting from
+    T_0 = floor(b 10**W / (2a)), satisfies T_n <= t_n 10**W < T_n + 2: each
+    floor loses less than 1, and the ratio below 1/2 halves the error
+    carried in.  Every included term keeps at least prec + 32 digits in
+    T_n, so rounding T_n gives the correctly rounded t_n unless the
+    two-unit band straddles a half-way point or a short exact decimal
+    (Ziv's rounding test, ACM TOMS 17(3), 1991).  Only then, or when the
+    band straddles the cutoff, is the exact t_n formed; for a band of 2
+    in at least 32 dropped digits that almost never happens.
     """
     x = Fraction(x)
     if x <= 0:
         raise ValueError(f"argument must be positive, got {x}")
     if precision < 1:
         raise ValueError(f"precision must be positive, got {precision}")
-    guard = 10
-    with localcontext(hp_context(precision, guard)):
-        cutoff = Fraction(1, 10 ** (precision + guard - 2))
-        term = Fraction(1, 2 * x)  # n = 0
+    context = hp_context(precision, 10)
+    prec = context.prec
+    width = 2 * prec + 30
+    a, b = x.numerator, x.denominator
+    with localcontext(_EXACT):
+        cutoff = Decimal(1).scaleb(width - prec + 2)
+        big_a, big_b = Decimal(a), Decimal(b)
+        scaled = big_b.scaleb(width) // (2 * big_a)  # n = 0
         total = Decimal(0)
         n = 0
-        while term >= cutoff:
-            total += Decimal(term.numerator) / Decimal(term.denominator)
+        while scaled + 2 > cutoff:
+            term = _round_scaled(scaled, width, context)
+            if term is None:
+                exact = _beta_term(a, b, n)
+                if exact < Fraction(1, 10 ** (prec - 2)):
+                    break
+                term = context.divide(Decimal(exact.numerator), Decimal(exact.denominator))
+            total = context.add(total, term)
             n += 1
-            term *= Fraction(n, 2 * (x + n))
-        return +total
+            scaled = scaled * (n * big_b) // (2 * (big_a + n * big_b))
+        return context.plus(total)
 
 
 ASYMPTOTIC_VARIANTS = ("printed", "beta_flipped", "two_term")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 from typing import NamedTuple, Sequence
 
 from .exactnum import hp_context, pi_hp, poly_eval, to_decimal
@@ -69,12 +69,18 @@ def harmonic_power_sum(v: int, r: int) -> Fraction:
     For r = 2m this is the power sum T_m = zeta(2m) - zeta(2m,v); keeping
     it as a Fraction is what makes every identity in this module testable
     with zero tolerance.  Every power sum in the package is formed here.
+
+    The terms are put over the one common denominator L = lcm(1..v-1)**r
+    and the integer numerator is reduced once, which gives the same
+    canonical Fraction as adding the terms one by one, without a gcd per
+    term.
     """
     if v < 2:
         raise ValueError(f"needs v >= 2, got {v}")
     if r < 2 or r % 2:
         raise ValueError(f"r must be even and at least 2, got {r}")
-    return sum(Fraction(1, j**r) for j in range(1, v))
+    common = lcm(*range(1, v)) ** r
+    return Fraction(sum(common // j**r for j in range(1, v)), common)
 
 
 def sym_high_partition(v: int, ell: int) -> Fraction:
@@ -215,6 +221,14 @@ def riemann_limit(m: int, v: int, precision: int) -> RiemannLimit:
     pins inside
 
         [ v**(1-2m)/(2m-1), (v-1)**(1-2m)/(2m-1) ].
+
+    Both ends sit about v**(-2m)/2 from zeta(2m,v) (Euler-Maclaurin:
+    zeta(2m,v) = v**(1-2m)/(2m-1) + v**(-2m)/2 + ...), while the deviation
+    is the difference of two values near zeta(2m) carried to precision +
+    10 digits, so it is off by about 10**-(precision+9).  The bracket can
+    only be told apart when that error is well below v**(-2m)/2, so
+    v**(2m) >= 10**(precision+7) is refused: at the limit the margin is
+    still 50 units of the working error.
     """
     if m < 1:
         raise ValueError(f"needs m >= 1, got {m}")
@@ -222,6 +236,11 @@ def riemann_limit(m: int, v: int, precision: int) -> RiemannLimit:
         raise ValueError(f"needs v >= m+2, got v={v}, m={m}")
     if precision < 30:
         raise ValueError(f"precision must be at least 30, got {precision}")
+    if v ** (2 * m) >= 10 ** (precision + 7):
+        raise ValueError(
+            f"v**(2m) = {v}**{2 * m} is at least 10**(precision+7): precision "
+            f"{precision} cannot resolve the deviation bracket"
+        )
     estimate_exact = harmonic_power_sum(v, 2 * m)
     factor = zeta_even_factor(m)
     with localcontext(hp_context(precision)):

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from gencosec import cli
-from gencosec.cli import TABLE1_ROWS_MAX, main
+from gencosec.cli import TABLE1_ROWS_MAX, ZETA_PRECISION_MAX, ZETA_V_MAX, main
 from gencosec.coeffs import coefficient
 from gencosec.exactnum import frac_to_str
 from gencosec.partitions import partition_count
@@ -250,6 +250,24 @@ def test_zeta_output_bytes(capsys, mv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# the same at the benchmark's scale, "m,v,precision", recorded while
+# harmonic_power_sum still added its terms one at a time
+ZETA_DIGESTS_HP = [
+    ("5,3000,2000", "02b480f9d372e7314885e97885a0ea7b6226cf5fe1a4099870880b16bf90f0dc"),
+    ("1,1000,1000", "bef3604600390d92e7f9d0a5476b648791b5ea3c4a077f592901a17393b2e5c9"),
+]
+
+
+@pytest.mark.parametrize(("case", "digest"), ZETA_DIGESTS_HP)
+def test_zeta_output_bytes_high_precision(capsys, case, digest):
+    m, v, precision = case.split(",")
+    code, out, _ = run(
+        capsys, "zeta", "--m", m, "--v", v, "--precision", precision, "--format", "json"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize(
     ("argv", "env_precision"),
     [
@@ -280,6 +298,11 @@ def test_zeta_output_bytes(capsys, mv, digest):
         (["verify", "--suite", "stirling", "--k-max", "50"], None),
         (["cosec", "--k", "3", "--rho", "1/0"], None),
         (["secant", "--k", "2", "--rho=5/0"], None),
+        (["zeta", "--m", "30", "--v", "40", "--precision", "50"], None),
+        (["zeta", "--m", "1", "--v", str(ZETA_V_MAX + 1)], None),
+        (["zeta", "--m", "1", "--v", "10", "--precision", str(ZETA_PRECISION_MAX + 1)], None),
+        (["zeta", "--m", "1", "--v", "10", "--precision", "29"], None),
+        (["zeta", "--m", "1", "--v", "2"], None),
     ],
 )
 def test_bad_input_is_usage_error(capsys, monkeypatch, argv, env_precision):
@@ -292,6 +315,15 @@ def test_bad_input_is_usage_error(capsys, monkeypatch, argv, env_precision):
     assert captured.out == ""
     errors = [line for line in captured.err.splitlines() if "error:" in line]
     assert len(errors) == 1 and errors[0].startswith("gencosec: error: ")
+
+
+def test_zeta_caps_admit_the_benchmark_grid(capsys):
+    # perfbench's zeta-hp draws v up to 3000 and precision up to 2000
+    assert ZETA_V_MAX >= 3000 and ZETA_PRECISION_MAX >= 2000
+    code, out, _ = run(capsys, "zeta", "--m", "5", "--v", "3000", "--precision", "30")
+    assert code == 0 and "True" in out
+    code, out, _ = run(capsys, "zeta", "--m", "1", "--v", str(ZETA_V_MAX), "--precision", "30")
+    assert code == 0 and "True" in out
 
 
 def test_precision_env_default(capsys, monkeypatch):
@@ -346,6 +378,21 @@ def test_out_into_missing_directory_is_usage_error(capsys, tmp_path):
     assert captured.out == ""
     errors = [line for line in captured.err.splitlines() if "error:" in line]
     assert len(errors) == 1 and errors[0].startswith("gencosec: error: ")
+
+
+def test_out_directory_is_checked_before_the_work(capsys, monkeypatch, tmp_path):
+    calls = []
+    monkeypatch.setattr(cli, "suite_all", lambda: calls.append("suite_all") or [])
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "all", "--out", str(tmp_path / "missing" / "all.json")])
+    assert exc.value.code == 2
+    assert calls == []
+    # an existing file is not opened, so not truncated, by a refused command
+    target = tmp_path / "kept.txt"
+    target.write_text("kept\n")
+    with pytest.raises(SystemExit):
+        main(["cosec", "--k", "-1", "--out", str(target)])
+    assert target.read_text() == "kept\n"
 
 
 def test_missing_subcommand_is_usage_error():

@@ -1,13 +1,14 @@
 """Closed forms, the accuracy-ratio table, and c_{2v,v-1} forms."""
 
 import hashlib
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gencosec import coeffs
 from gencosec.coeffs import (
     ASYMPTOTIC_VARIANTS,
     approx_cosecant_exact,
@@ -187,6 +188,22 @@ class TestC2vRoutes:
 
 LN2_40 = "0.6931471805599453094172321214581765680755"
 
+#: x = v + 1/2 as c2v_vm1_asymptotic reads it, and a spread of other x
+BETA_ARGUMENTS = [Fraction(2 * v + 1, 2) for v in [*range(2, 61), 333, 2999]] + [
+    Fraction(1),
+    Fraction(1, 3),
+    Fraction(7),
+    Fraction(22, 7),
+    Fraction(1, 1000),
+]
+
+# sha256 of str(beta_alternating(x, 300)), recorded while every term was
+# still carried as an exact Fraction
+BETA_DIGESTS = [
+    ("1", "3374975790f316051c6b56a1d3efc2d82f77ce6e61b13555f081da4c42bb94e9"),
+    ("22/7", "dc3399e8cbd724cefcc4163d48216343c8fefe9809570ef6d39e4df70eaf6939"),
+]
+
 
 class TestBetaAlternating:
     def test_x_one_is_ln_two(self):
@@ -212,6 +229,56 @@ class TestBetaAlternating:
         with pytest.raises(ValueError):
             beta_alternating(Fraction(1), 0)
 
+    @pytest.mark.parametrize("precision", [30, 50, 200])
+    def test_equals_exact_term_route(self, beta_reference, precision):
+        # scaled-integer terms round exactly as the exact terms divided out
+        for x in BETA_ARGUMENTS:
+            assert str(beta_alternating(x, precision)) == str(beta_reference(x, precision)), x
+
+    @pytest.mark.parametrize(
+        ("scaled", "decided"),
+        [
+            (1234998, True),
+            (1234999, False),  # the band [.4999, .5001) holds the half-way point
+            (1235000, False),
+            (1235001, True),
+            (1230000, False),  # a short exact decimal may sit at the band's start
+            (1239999, False),  # the band reaches 1240000
+            (9996000, True),  # rounds up to 1.00E+7
+        ],
+    )
+    def test_rounding_decision(self, scaled, decided):
+        # t * 10**2 is in [scaled, scaled + 2); three digits are kept
+        context = Context(prec=3)
+        with localcontext(coeffs._EXACT):
+            got = coeffs._round_scaled(Decimal(scaled), 2, context)
+        if not decided:
+            assert got is None
+            return
+        for offset in (0, 1, 3):  # t at the band's start, middle and near its end
+            t = Fraction(2 * scaled + offset, 200)
+            want = context.divide(Decimal(t.numerator), Decimal(t.denominator))
+            assert str(got) == str(want), t
+
+    @pytest.mark.parametrize("precision", [30, 50])
+    def test_fallback_on_every_term(self, beta_reference, monkeypatch, precision):
+        # the exact fallback alone, including its cutoff test, gives the same bytes
+        monkeypatch.setattr(coeffs, "_round_scaled", lambda *args: None)
+        for x in map(Fraction, ("1", "1/3", "22/7", "1/1000", "67/2")):
+            assert str(beta_alternating(x, precision)) == str(beta_reference(x, precision)), x
+
+    def test_short_exact_terms_keep_their_digits(self, beta_reference):
+        # t_0 = 1/2 and t_1 = 1/8 are short exact decimals; at x = 10**40
+        # only t_0 = 5E-41 is above the cutoff, and it prints short
+        assert str(beta_alternating(Fraction(10**40), 40)) == "5E-41"
+        for x in (Fraction(1), Fraction(1, 2), Fraction(5, 4), Fraction(10**25)):
+            assert str(beta_alternating(x, 12)) == str(beta_reference(x, 12)), x
+
+    @pytest.mark.parametrize(("x", "digest"), BETA_DIGESTS)
+    def test_output_bytes(self, x, digest):
+        value = beta_alternating(Fraction(x), 300)
+        assert hashlib.sha256(str(value).encode()).hexdigest() == digest
+
 
 # sha256 of str(c2v_vm1_asymptotic(v, 50, ...)) per "v,variant" (or
 # "v,leading_only"), recorded before the shared-ingredient wrapper went
@@ -228,6 +295,15 @@ ASYMPTOTIC_DIGESTS = [
     ("40,beta_flipped", "a6ce9b78af04cb5cc3479d6b1bdf169ec62fc193bab782fce359560937d292a4"),
     ("40,two_term", "42e422a3c5a2ab72b5ffac451dc9d529062aa2a8f18b14710b47cbb61c5b789c"),
     ("40,leading_only", "a69de0e30b0aeb6963db6d38ab955c898773da90165af7f191bf1878cd150038"),
+]
+
+# the same at the benchmark's scale, "v,precision,variant", recorded while
+# beta_alternating still carried every term as an exact Fraction
+ASYMPTOTIC_DIGESTS_HP = [
+    ("1000,1000,printed", "538a22425dc71c7a341380fe8beeefdb5fc125b6e020184b6429bac3c5a05535"),
+    ("1000,1000,beta_flipped", "ab07d1023c291c56d4f75a484324fa1c4c0e5239e828fc056d089f8eeabafa99"),
+    ("2999,2000,printed", "f534768a45442356f20760834b10ec245755de00455a588b66da6146f3cc9c56"),
+    ("2999,2000,beta_flipped", "a906e9b16e762efc9bf08c4852376c07661532443997ce4f381979b9026da882"),
 ]
 
 
@@ -276,6 +352,12 @@ class TestAsymptotic:
             value = c2v_vm1_asymptotic(int(v), 50, leading_only=True)
         else:
             value = c2v_vm1_asymptotic(int(v), 50, variant=variant)
+        assert hashlib.sha256(str(value).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(("case", "digest"), ASYMPTOTIC_DIGESTS_HP)
+    def test_output_bytes_high_precision(self, case, digest):
+        v, precision, variant = case.split(",")
+        value = c2v_vm1_asymptotic(int(v), int(precision), variant=variant)
         assert hashlib.sha256(str(value).encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("v", [2, 7, 1000])

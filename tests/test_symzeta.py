@@ -163,6 +163,12 @@ class TestPowerSums:
         assert got == 1 + Fraction(1, 4) + Fraction(1, 9) + Fraction(1, 16) + Fraction(1, 25)
         assert harmonic_power_sum(6, 6) == sum(Fraction(1, j**6) for j in range(1, 6))
 
+    def test_common_denominator_equals_literal_sum(self):
+        for v in range(2, 61):
+            for r in range(2, 13, 2):
+                literal = sum(Fraction(1, j**r) for j in range(1, v))
+                assert harmonic_power_sum(v, r) == literal, (v, r)
+
 
 def test_compare_reports_both_sides_and_their_equality():
     report = IdentityReport.compare("demo", {"k": 1}, Fraction(1, 2), Fraction(2, 4))
@@ -308,6 +314,18 @@ class TestRiemannLimit:
             assert abs(mpmath.mpf(str(res.estimate)) - partial) <= tolerance * partial
             # a difference of two values near zeta(2m): absolute digits
             assert abs(mpmath.mpf(str(res.deviation)) - tail) <= tolerance
+
+    def test_unresolvable_deviation_is_refused(self):
+        # 70**20 < 10**37 <= 71**20: the last v that precision 30 resolves
+        res = riemann_limit(10, 70, 30)
+        assert res.bounds[0] < res.deviation < res.bounds[1]
+        with pytest.raises(ValueError, match="cannot resolve"):
+            riemann_limit(10, 71, 30)
+        # 40**60 >= 10**57: the deviation printed would be rounding noise
+        with pytest.raises(ValueError, match="cannot resolve"):
+            riemann_limit(30, 40, 50)
+        res = riemann_limit(30, 40, 90)
+        assert res.bounds[0] < res.deviation < res.bounds[1]
 
     def test_domain(self):
         with pytest.raises(ValueError):
